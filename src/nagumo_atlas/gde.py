@@ -12,26 +12,28 @@ the wraparound arithmetic produces that doubled edge on its own.
 At d = 0 the sites decouple and every assignment of the roots {0, a, 1}
 is an equilibrium, named by a word over {0, a, 1}. solve_type() follows
 the branch rooted at a word from d = 0 to a requested d by natural
-continuation: no fancy arclength, just small steps in d, Newton
-correction, and step halving on failure. The branch ends at a fold,
-where Newton stops converging to anything nearby; solve_type then
-raises NotInRegion carrying the depth reached. Two subtleties guard the
-march. The Jacobian determinant may cross zero at an interior point of
-a perfectly healthy branch (a secondary bifurcation sits on it, which
-happens for the two-site pattern 01 at a = 1/2); the march steps across
-such crossings, and the det_sign recorded on the returned equilibrium
-is the sign at the requested d. And when the branch folds against a
-constant pattern, the constant branch survives the fold and Newton
-slides onto it; a nearly-constant corrected state with a collapsed
-determinant is rejected as capture rather than accepted as survival.
+continuation: no fancy arclength, just steps in d, each corrected by
+Newton. A rejected step halves; two accepted steps in a row double it
+again, never beyond d_step_init. The branch ends at a fold, where Newton
+stops converging to anything nearby; solve_type then raises NotInRegion
+carrying the depth reached. Two subtleties guard the march. The Jacobian
+determinant may cross zero at an interior point of a perfectly healthy
+branch (a secondary bifurcation sits on it, which happens for the
+two-site pattern 01 at a = 1/2); the march steps across such crossings,
+and the det_sign recorded on the returned equilibrium is the sign at the
+requested d. And where a branch ends against a constant pattern, the
+constant branch survives and Newton slides onto it; a nearly constant
+corrected state of a heterogeneous word is rejected as that capture. A
+constant word's branch is exact for every d, so it is never marched.
 
-The step-acceptance rule (_attempt, on top of the Newton corrector
-_newton_core) works on a stack of states, one row per branch, and every
-row takes exactly the iterations it would take alone: batched LAPACK
-factors each matrix on its own. solve_type runs it as a stack of one; the
-regions module marches whole batches of (word, a) rays upward in d
-through the same rule until each fails, so membership there and
-solve_type here always agree.
+One march (_march) serves solve_type, a batch of one capped at the
+requested d that skips the final bisection, and every height measurement
+of the regions module. It
+moves a stack of branches in lockstep, one row per (word, a) ray, through
+one Newton correction per round, and each ray keeps its own step,
+bracket and phase. Every row takes exactly the iterations it would take
+alone (batched LAPACK factors each matrix on its own), so a ray ends
+where it would end alone.
 
 Stability is decided twice at every accepted equilibrium: from the
 letters (a word is stable iff it avoids the middle root a) and from the
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,11 +58,14 @@ _BOX_HI = 1.5
 # reject a continuation step whose corrected point jumps this far from the
 # predictor; catches silent hops onto a sibling branch near a fold
 _MAX_CORRECTOR_JUMP = 0.25
-# a corrected state whose sites have spread this close to constant, with the
-# determinant already collapsed below cfg.det_guard, is the corrector gliding
-# onto a homogeneous survivor of a fold; biases a fold-against-constant
-# measurement by at most (spread/4)^2 ~ 1e-7 in d
+# a heterogeneous word's corrected state whose sites have spread closer than
+# this (or than half their d = 0 spread, for small thresholds) is the
+# corrector gliding onto a homogeneous survivor of the branch's end; biases
+# a measurement against a constant state by at most (spread/4)^2 ~ 1e-7 in d
 _HOMOG_SPREAD = 1e-3
+# a marching ray's step grows by 1/step_shrink after this many accepted
+# attempts in a row
+_REGROW_AFTER = 2
 
 
 class SolveError(Exception):
@@ -112,11 +117,12 @@ class Params:
 
 @dataclass(frozen=True)
 class ContinuationConfig:
-    """Continuation knobs. det_guard is the |det J| level, relative to the
-    d = 0 value, below which a state counts as fold-proximate; it feeds
-    the capture rejection in _attempt and the FOLD certificates in the
-    regions module (multiple eigenvalues can vanish together at symmetric
-    folds, so this is a declaration level, not a rejection floor)."""
+    """Continuation knobs. Steps start at, and never grow beyond,
+    d_step_init; below d_step_min the march bisects. det_guard is the
+    |det J| level, relative to the d = 0 value, below which a state counts
+    as fold-proximate; it feeds the FOLD certificates in the regions module
+    (multiple eigenvalues can vanish together at symmetric folds, so this
+    is a declaration level, not a rejection floor)."""
 
     newton_tol: float = 1e-12
     max_newton_iters: int = 25
@@ -326,20 +332,19 @@ def newton_solve(
 
 
 def _start(
-    words: list[Word], a: np.ndarray, cfg: ContinuationConfig
+    words: list[Word], a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Where the branches of the words at thresholds a begin.
 
     Returns the (B, n) stack of exact d = 0 states with the sign and
-    log|det J| there, and the capture threshold that _attempt takes for
-    each branch: log|det J| at d = 0 plus log(det_guard), or -inf for a
+    log|det J| there, and the capture spread that _attempt takes for each
+    branch: min(_HOMOG_SPREAD, half the d = 0 spread), which is 0 for a
     constant word, whose branch really is the constant one.
     """
     u = np.array([decoupled_state(w, x) for w, x in zip(words, a)])
     sign, logdet0 = np.linalg.slogdet(_jacobians(u, a, np.zeros(len(a))))
-    heterogeneous = np.array([len(set(w.letters)) > 1 for w in words])
-    collapse = np.where(heterogeneous, logdet0 + math.log(cfg.det_guard), -np.inf)
-    return u, sign, logdet0, collapse
+    capture = np.minimum(_HOMOG_SPREAD, 0.5 * np.ptp(u, axis=1))
+    return u, sign, logdet0, capture
 
 
 def _attempt(
@@ -347,7 +352,7 @@ def _attempt(
     a: np.ndarray,
     d_to: np.ndarray,
     cfg: ContinuationConfig,
-    collapse: np.ndarray,
+    capture: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One continuation step per row: correct u_from[k] at a[k], d_to[k].
 
@@ -356,25 +361,96 @@ def _attempt(
     Rejections: Newton failure, a corrected point jumping further than
     _MAX_CORRECTOR_JUMP from its predictor (a hop onto a distant sibling
     branch), an exactly singular Jacobian, and homogeneous capture. The
-    last one needs explaining: at a fold against a constant pattern the
-    constant branch survives the fold, so plain Newton correction slides
-    onto it and "converges" forever after. A corrected state that is
-    nearly constant while |det J| has collapsed below the row's
-    log-threshold collapse[k] (see _start) is that slide, not the tracked
-    branch.
+    last one needs explaining: where a branch ends against a constant
+    pattern the constant branch survives, so plain Newton correction
+    slides onto it and "converges" forever after. A corrected state whose
+    spread is below the row's capture[k] (see _start) is that slide, not
+    the tracked branch.
     """
     u_new, status = _newton_core(u_from, a, d_to, cfg)
     ok = np.flatnonzero(status == _CONVERGED)
     ok = ok[~(np.abs(u_new[ok] - u_from[ok]).max(axis=1) > _MAX_CORRECTOR_JUMP)]
+    ok = ok[~(np.ptp(u_new[ok], axis=1) < capture[ok])]
     sign = np.zeros(len(u_new))
     logdet = np.full(len(u_new), -np.inf)
     sign[ok], logdet[ok] = np.linalg.slogdet(_jacobians(u_new[ok], a[ok], d_to[ok]))
     ok = ok[(sign[ok] != 0.0) & np.isfinite(logdet[ok])]
-    spread = u_new[ok].max(axis=1) - u_new[ok].min(axis=1)
-    ok = ok[~((logdet[ok] < collapse[ok]) & (spread < _HOMOG_SPREAD))]
     accepted = np.zeros(len(u_new), bool)
     accepted[ok] = True
     return accepted, u_new, sign, logdet
+
+
+class _Branches(NamedTuple):
+    """Where the rays of a march ended, one entry per ray."""
+
+    d: np.ndarray  # last accepted d
+    u: np.ndarray  # (B, n) states there
+    logdet: np.ndarray  # log|det J| there
+    logdet0: np.ndarray  # log|det J| at d = 0
+    flipped: np.ndarray  # whether det J changed sign between accepted steps
+
+
+def _march(
+    words: list[Word],
+    a: np.ndarray,
+    cfg: ContinuationConfig,
+    d_cap: float,
+    refine_width: float,
+) -> _Branches:
+    """Continue the branch of every (words[k], a[k]) ray upward in d.
+
+    A ray marches until it reaches d_cap or its step falls below
+    d_step_min; it then bisects the bracket between its last accepted and
+    last rejected d until that is refine_width narrow, always correcting
+    from the last accepted state. A constant word's branch is exact, so
+    its ray ends at d_cap without an attempt. The words share a length.
+    """
+    u, sign, logdet0, capture = _start(words, a)
+    d_ok = np.zeros(len(words))
+    logdet_ok = logdet0.copy()
+    flipped = np.zeros(len(words), bool)
+    constant = np.flatnonzero(capture == 0.0)
+    if constant.size:
+        d_ok[constant] = d_cap
+        top = np.full(constant.size, d_cap)
+        sign_top, logdet_ok[constant] = np.linalg.slogdet(
+            _jacobians(u[constant], a[constant], top)
+        )
+        flipped[constant] = sign_top != sign[constant]
+    d_fail = np.full(len(words), np.nan)
+    step = np.full(len(words), cfg.d_step_init)
+    streak = np.zeros(len(words), int)
+
+    while True:
+        # a ray whose step fell below d_step_min bisects, and its step stays
+        # there; marching rays stop at the cap, bisecting ones once the
+        # bracket is refine_width narrow
+        bisecting = step < cfg.d_step_min
+        live = np.flatnonzero(
+            np.where(bisecting, d_fail - d_ok > refine_width, d_ok < d_cap)
+        )
+        if not live.size:
+            break
+        d_try = np.where(
+            bisecting, 0.5 * (d_ok + d_fail), np.minimum(d_ok + step, d_cap)
+        )[live]
+        accepted, u_new, sign_new, logdet = _attempt(
+            u[live], a[live], d_try, cfg, capture[live]
+        )
+        won, lost = live[accepted], live[~accepted]
+        u[won] = u_new[accepted]
+        flipped[won] |= sign_new[accepted] != sign[won]
+        sign[won] = sign_new[accepted]
+        logdet_ok[won] = logdet[accepted]
+        d_ok[won] = d_try[accepted]
+        d_fail[lost] = d_try[~accepted]
+        streak[won] += 1
+        streak[lost] = 0
+        grow = won[(streak[won] == _REGROW_AFTER) & ~bisecting[won]]
+        step[grow] = np.minimum(step[grow] / cfg.step_shrink, cfg.d_step_init)
+        streak[grow] = 0
+        step[lost[~bisecting[lost]]] *= cfg.step_shrink
+    return _Branches(d_ok, u, logdet_ok, logdet0, flipped)
 
 
 def solve_type(
@@ -385,30 +461,13 @@ def solve_type(
     Continues the branch rooted at the exact d = 0 state of the word.
     Raises NotInRegion if the branch folds before p.d.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if len(word) < 2:
         raise ValueError("dynamics need words of length at least 2")
-    a = np.array([p.a])
-    u, sign0, _, collapse = _start([word], a, cfg)
-    if p.d == 0.0:
-        return _build_equilibrium(word, u[0], Params(p.a, 0.0))
-    sign_prev = sign0[0]
-    d_cur = 0.0
-    step = cfg.d_step_init
-    flip_seen = False
-    while d_cur < p.d:
-        d_try = min(d_cur + step, p.d)
-        accepted, u_new, sign, _ = _attempt(u, a, np.array([d_try]), cfg, collapse)
-        if accepted[0]:
-            u = u_new
-            flip_seen = flip_seen or sign[0] != sign_prev
-            sign_prev = sign[0]
-            d_cur = d_try
-        else:
-            step *= cfg.step_shrink
-            if step < cfg.d_step_min:
-                raise NotInRegion(word, p, d_reached=d_cur)
-    return _build_equilibrium(word, u[0], p, det_flip_seen=flip_seen)
+    # an infinite refine_width skips the bisection: no height is reported
+    end = _march([word], np.array([p.a]), cfg or DEFAULT_CONFIG, p.d, math.inf)
+    if end.d[0] < p.d:
+        raise NotInRegion(word, p, d_reached=float(end.d[0]))
+    return _build_equilibrium(word, end.u[0], p, det_flip_seen=bool(end.flipped[0]))
 
 
 def lde_residual_check(eq: Equilibrium, window_periods: int = 3) -> float:

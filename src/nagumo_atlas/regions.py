@@ -2,27 +2,15 @@
 
 Each pattern (word) exists on a parameter set that contains a vertical
 segment {a} x [0, d_max(a)) for every threshold a it exists at when
-decoupled. d_max() measures that height by continuation from d = 0:
-march upward in d, halve the step on failure, and once the step floor is
-reached refine the resulting bracket by bisection, always correcting
-from the last accepted state. The reported height is the top of the last
-accepted step, certified to within the bracket width.
+decoupled. d_max() measures that height by continuation from d = 0 with
+the march that gde.solve_type also runs (gde._march, which describes the
+step control): the height is the last d the march accepts, its bracket
+on the end of the branch refined by bisection. So membership() and
+d_max() agree about whether a pattern exists at a point.
 
-The march drives exactly the step-acceptance rule of gde.solve_type
-(Newton correction with the corrector-jump and homogeneous-capture
-rejections; see gde._attempt), so membership() and d_max() agree about
-whether a pattern exists at a point. The only difference is the goal:
-solve_type aims at one requested d and additionally bookkeeps stability,
-the march brackets the supremum.
-
-One march serves every caller. It takes a batch of rays, each a word and
-a threshold (the words of one batch share a length), and moves them in
-lockstep: each round, every unfinished ray makes its own next attempt,
-and the whole batch goes through one stacked Newton correction. Each ray
-keeps its own step, bracket and phase, and batched LAPACK factors every
-matrix on its own, so a ray ends exactly where it would end alone. d_max
-is a batch of one; scan_region and verify_region_symmetries submit
-whole grids.
+A batch of (word, a) rays, whose words share a length, is marched in
+lockstep, and a ray ends exactly where it would end alone. d_max is a
+batch of one; scan_region and verify_region_symmetries submit whole grids.
 
 The terminal tag says why the march stopped:
 
@@ -37,11 +25,8 @@ The terminal tag says why the march stopped:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,49 +81,18 @@ def _march(
     if not rays:
         return []
 
-    a = np.array([x for _, x in rays], dtype=float)
-    u, _, logdet0, collapse = gde._start([word for word, _ in rays], a, cfg)
-    d_ok = np.zeros(len(rays))
-    logdet_ok = logdet0.copy()
-    d_fail = np.full(len(rays), np.nan)
-    step = np.full(len(rays), cfg.d_step_init)
-    bisecting = np.zeros(len(rays), bool)
-
-    while True:
-        # marching rays stop at the cap; bisecting ones once the bracket is
-        # refine_width narrow
-        live = np.flatnonzero(
-            np.where(bisecting, d_fail - d_ok > refine_width, d_ok < d_cap)
-        )
-        if not live.size:
-            break
-        d_try = np.where(
-            bisecting[live],
-            0.5 * (d_ok[live] + d_fail[live]),
-            np.minimum(d_ok[live] + step[live], d_cap),
-        )
-        accepted, u_new, _, logdet = gde._attempt(
-            u[live], a[live], d_try, cfg, collapse[live]
-        )
-        won, lost = live[accepted], live[~accepted]
-        u[won] = u_new[accepted]
-        logdet_ok[won] = logdet[accepted]
-        d_ok[won] = d_try[accepted]
-        d_fail[lost] = d_try[~accepted]
-        shrink = lost[~bisecting[lost]]
-        step[shrink] *= cfg.step_shrink
-        bisecting[shrink] = step[shrink] < cfg.d_step_min
-
+    words = [word for word, _ in rays]
+    end = gde._march(words, np.array([x for _, x in rays]), cfg, d_cap, refine_width)
     samples = []
     for k, (_, a_k) in enumerate(rays):
-        ratio = math.exp(float(logdet_ok[k]) - float(logdet0[k]))
-        if d_ok[k] >= d_cap:
+        ratio = math.exp(float(end.logdet[k]) - float(end.logdet0[k]))
+        if end.d[k] >= d_cap:
             terminal = Terminal.DMAX_CAP
         elif ratio <= cfg.det_guard:
             terminal = Terminal.FOLD
         else:
             terminal = Terminal.STEP_FLOOR
-        samples.append(BoundarySample(a_k, float(d_ok[k]), terminal, ratio))
+        samples.append(BoundarySample(a_k, float(end.d[k]), terminal, ratio))
     return samples
 
 
@@ -151,8 +105,10 @@ def d_max(
 ) -> tuple[float, Terminal]:
     """Height of the existence region of the pattern above threshold a.
 
-    Returns (d_max, terminal); the measured height is exact to within
-    refine_width when the terminal is a fold.
+    Returns (d_max, terminal). At a fold the height is the last d the
+    step-acceptance rule accepts, not the fold itself: against the
+    analytic folds (01 at a = 1/2 folds at 1/16, 0a at a(1-a)/4) it falls
+    short by 6e-8 to 1.5e-7, whatever refine_width.
     """
     (sample,) = _march([(word, a)], cfg or gde.DEFAULT_CONFIG, d_cap, refine_width)
     return sample.d_max, sample.terminal
@@ -167,23 +123,6 @@ def membership(word: Word, p: Params, cfg: Optional[ContinuationConfig] = None) 
     return True
 
 
-def _worker_count(requested: Optional[int], njobs: int) -> int:
-    if requested is None:
-        env = os.environ.get("NAGUMO_ATLAS_THREADS")
-        if env is not None:
-            try:
-                requested = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"NAGUMO_ATLAS_THREADS must be a positive integer, got {env!r}"
-                ) from None
-        else:
-            requested = os.cpu_count() or 1
-    if requested < 1:
-        raise ValueError(f"worker count must be positive, got {requested}")
-    return min(requested, njobs)
-
-
 def scan_region(
     word: Word,
     a_grid: Sequence[float],
@@ -194,9 +133,8 @@ def scan_region(
 ) -> RegionBoundary:
     """Trace d_max over a strictly increasing grid of thresholds.
 
-    The grid is marched as one batch, or split into one contiguous chunk
-    per worker process. Worker count defaults to NAGUMO_ATLAS_THREADS,
-    else the core count; results are ordered by the grid either way.
+    The grid is marched as one batch in this process; workers may only be
+    None or 1.
     """
     cfg = cfg or gde.DEFAULT_CONFIG
     grid = [float(a) for a in a_grid]
@@ -206,16 +144,9 @@ def scan_region(
         raise ValueError("thresholds must lie strictly in (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("the threshold grid must be strictly increasing")
-    nworkers = _worker_count(workers, len(grid))
-    rays = [(word, a) for a in grid]
-    if nworkers == 1:
-        samples = _march(rays, cfg, d_cap, refine_width)
-    else:
-        size = -(-len(rays) // nworkers)
-        chunks = [rays[i : i + size] for i in range(0, len(rays), size)]
-        march = partial(_march, cfg=cfg, d_cap=d_cap, refine_width=refine_width)
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            samples = [s for part in pool.map(march, chunks) for s in part]
+    if workers not in (None, 1):
+        raise ValueError(f"scan_region runs in one process, got workers={workers}")
+    samples = _march([(word, a) for a in grid], cfg, d_cap, refine_width)
     return RegionBoundary(word=word, d_cap=d_cap, samples=samples)
 
 

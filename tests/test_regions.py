@@ -3,7 +3,7 @@ import math
 import pytest
 
 from nagumo_atlas import regions
-from nagumo_atlas.gde import ContinuationConfig, Params
+from nagumo_atlas.gde import ContinuationConfig, NotInRegion, Params, solve_type
 from nagumo_atlas.regions import (
     Terminal,
     d_max,
@@ -104,21 +104,49 @@ def test_scan_rejects_bad_grids():
         d_max(w("01"), 0.5, d_cap=0.0)
 
 
-def test_scan_with_worker_pool_matches_serial():
+def test_scan_region_runs_in_one_process():
     grid = [0.4, 0.5, 0.6]
-    serial = scan_region(w("0a"), grid, workers=1)
-    pooled = scan_region(w("0a"), grid, workers=2)
-    assert [s.d_max for s in serial.samples] == [s.d_max for s in pooled.samples]
-    assert [s.terminal for s in serial.samples] == [s.terminal for s in pooled.samples]
-
-
-def test_worker_count_env_is_validated(monkeypatch):
-    monkeypatch.setenv("NAGUMO_ATLAS_THREADS", "not-a-number")
+    assert scan_region(w("0a"), grid, workers=1) == scan_region(w("0a"), grid)
     with pytest.raises(ValueError):
-        scan_region(w("0a"), [0.5])
-    monkeypatch.setenv("NAGUMO_ATLAS_THREADS", "1")
-    boundary = scan_region(w("0a"), [0.5])
-    assert len(boundary.samples) == 1
+        scan_region(w("0a"), grid, workers=2)
+
+
+def test_0a_family_is_not_captured_by_the_constant_branch():
+    # past the pitchfork at a(1-a)/4 the corrector would slide onto the
+    # constant-a state, which survives; a heterogeneous state that has
+    # spread nearly constant is rejected whatever |det J| is
+    a = 0.1
+    height, terminal = d_max(w("0a"), a)
+    assert terminal is Terminal.FOLD
+    assert a * (1.0 - a) / 4.0 - 2e-6 < height <= a * (1.0 - a) / 4.0
+    with pytest.raises(NotInRegion) as info:
+        solve_type(w("0a"), Params(a, 0.2))
+    assert info.value.d_reached == pytest.approx(height, abs=1e-9)
+    height, terminal = d_max(w("00a"), 0.045)
+    assert terminal is Terminal.FOLD and height < 0.05
+    state = solve_type(w("00a"), Params(0.045, 0.9 * height)).u
+    assert state.max() - state.min() > 0.01
+    # at thresholds this small the d = 0 spread a itself is below the
+    # fixed capture spread, which must not reject the first step
+    assert d_max(w("0a"), 5e-4)[0] > 0.0
+
+
+def test_every_ray_ends_in_tens_of_rounds(monkeypatch):
+    rounds = []
+    attempt = regions.gde._attempt
+
+    def counted(*args):
+        rounds.append(len(args[0]))
+        return attempt(*args)
+
+    monkeypatch.setattr(regions.gde, "_attempt", counted)
+    verify_region_symmetries(w("01"), [k / 200.0 for k in range(1, 200)])
+    assert 0 < len(rounds) <= 200
+    rounds.clear()
+    boundary = scan_region(w("aaa"), [0.2, 0.5, 0.8])
+    assert {s.terminal for s in boundary.samples} == {Terminal.DMAX_CAP}
+    solve_type(w("00"), Params(0.3, 0.4))
+    assert rounds == []
 
 
 def test_rays_in_one_batch_do_not_interact():
