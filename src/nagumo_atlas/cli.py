@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import counting, numtheory, regions
 from .counting import COUNT_FIELDS, count_table
 from .gde import ContinuationConfig, DEFAULT_CONFIG, Params, SolveError, solve_type
-from .words import A2, A3, GroupKind, Word, enumerate_orbits
+from .words import A2, A3, GroupKind, Word, enumerate_orbits, enumeration_limit
 
 _FIELD_LABELS = {
     "necklaces": "N",
@@ -214,34 +214,6 @@ def _cmd_region(args, error) -> int:
     return 0
 
 
-_FORMULA_BY_GROUP = {
-    (GroupKind.CYCLIC, False): lambda alphabet, k, n: counting.necklaces(k, n),
-    (GroupKind.CYCLIC, True): lambda alphabet, k, n: counting.lyndon_necklaces(k, n),
-    (GroupKind.DIHEDRAL, False): lambda alphabet, k, n: counting.bracelets(k, n),
-    (GroupKind.DIHEDRAL, True): lambda alphabet, k, n: counting.lyndon_bracelets(k, n),
-    (GroupKind.CYCLIC_PI, False): lambda alphabet, k, n: counting.permuted_necklaces(
-        alphabet, n
-    ),
-    (GroupKind.CYCLIC_PI, True): lambda alphabet, k, n: counting.permuted_lyndon_necklaces(
-        alphabet, n
-    ),
-    (GroupKind.DIHEDRAL_PI, False): lambda alphabet, k, n: counting.permuted_bracelets(
-        alphabet, n
-    ),
-    (
-        GroupKind.DIHEDRAL_PI,
-        True,
-    ): lambda alphabet, k, n: counting.permuted_lyndon_bracelets(alphabet, n),
-}
-
-_DIVISOR_SUM_PAIRS = (
-    ("necklaces", "lyndon_necklaces"),
-    ("bracelets", "lyndon_bracelets"),
-    ("permuted_necklaces", "permuted_lyndon_necklaces"),
-    ("permuted_bracelets", "permuted_lyndon_bracelets"),
-)
-
-
 def _identities_ok(n: int) -> bool:
     s_all, s_even, s_odd = numtheory.convolution_identity_check(n)
     mu = numtheory.mobius(n)
@@ -258,6 +230,13 @@ def _identities_ok(n: int) -> bool:
 def _cmd_verify(args, error) -> int:
     if args.n_max < 1:
         error(f"--n-max must be positive, got {args.n_max}")
+    for flag, n_hi, alphabet in (
+        ("--n-max-a2", args.n_max_a2, A2),
+        ("--n-max-a3", args.n_max_a3, A3),
+    ):
+        limit = enumeration_limit(alphabet)
+        if not 1 <= n_hi <= limit:
+            error(f"{flag} must lie in 1..{limit}, got {n_hi}")
     failures = 0
 
     def report(label: str, ok: bool) -> None:
@@ -279,12 +258,12 @@ def _cmd_verify(args, error) -> int:
         print(f"  first failing n: {bad[0]}", file=sys.stderr)
 
     if not args.identities_only:
-        for alphabet, k, n_hi in ((A2, 2, args.n_max_a2), (A3, 3, args.n_max_a3)):
+        for alphabet, n_hi in ((A2, args.n_max_a2), (A3, args.n_max_a3)):
             for group in GroupKind:
                 for lyndon in (False, True):
                     mismatch = []
                     for n in range(1, n_hi + 1):
-                        want = _FORMULA_BY_GROUP[(group, lyndon)](alphabet, k, n)
+                        want = counting.count(alphabet, n, group, lyndon)
                         got = len(enumerate_orbits(n, alphabet, group, lyndon))
                         if want != got:
                             mismatch.append((n, want, got))
@@ -296,23 +275,21 @@ def _cmd_verify(args, error) -> int:
                     for n, want, got in mismatch:
                         print(f"  n={n}: formula {want}, enumerated {got}",
                               file=sys.stderr)
-        for alphabet, k in ((A2, 2), (A3, 3)):
-            bad_pairs = []
-            for full_name, lyndon_name in _DIVISOR_SUM_PAIRS:
-                permuted = full_name.startswith("permuted")
-                full = getattr(counting, full_name)
-                lyn = getattr(counting, lyndon_name)
-                arg = alphabet if permuted else k
-                for n in range(1, _N_MAX_LIMIT + 1):
-                    total = sum(lyn(arg, d) for d in numtheory.divisors(n))
-                    if total != full(arg, n):
-                        bad_pairs.append((full_name, n))
+        for alphabet in (A2, A3):
+            bad_pairs = [
+                (group, n)
+                for group in GroupKind
+                for n in range(1, _N_MAX_LIMIT + 1)
+                if counting.count(alphabet, n, group)
+                != sum(counting.count(alphabet, d, group, True)
+                       for d in numtheory.divisors(n))
+            ]
             report(
                 f"aperiodic-root divisor sums, {alphabet} n <= {_N_MAX_LIMIT}",
                 not bad_pairs,
             )
-            for name, n in bad_pairs:
-                print(f"  {name} at n={n}", file=sys.stderr)
+            for group, n in bad_pairs:
+                print(f"  group {group.value} at n={n}", file=sys.stderr)
 
     print(f"verify: {'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
     return 0 if failures == 0 else 1

@@ -12,7 +12,8 @@ permuted bracelets    all of the above           permuted_bracelets(alphabet, n)
 ====================  =========================  ==============================
 
 plus the aperiodic ("lyndon") variant of each, obtained by Moebius
-inversion over the primitive period. The permuted counts depend on which
+inversion over the primitive period; count(alphabet, n, group, aperiodic)
+picks the family for a words.GroupKind. The permuted counts depend on which
 letters the value swap fixes, so they take the alphabet tag rather than a
 bare k. Divisions by n, 2n, 4n are performed last and checked exact; a
 remainder would mean a transcription bug, not a rounding issue, since all
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .numtheory import divisors, euler_phi, mobius
-from .words import A2, A3, _check_alphabet
+from .words import A2, A3, GroupKind, _check_alphabet
 
 
 def _check_positive(n: int) -> None:
@@ -162,6 +163,18 @@ def permuted_lyndon_bracelets(alphabet: str, n: int) -> int:
         mobius(n // d) * _swap_reflection_fixed(alphabet, d) for d in divisors(n)
     )
     return _exact_div(permuted_lyndon_necklaces(alphabet, n) + folded, 2)
+
+
+def count(alphabet: str, n: int, group: GroupKind, aperiodic: bool = False) -> int:
+    """Classes of length-n words under the group (aperiodic ones only if asked)."""
+    k = _letters(alphabet)
+    if group is GroupKind.CYCLIC:
+        return (lyndon_necklaces if aperiodic else necklaces)(k, n)
+    if group is GroupKind.DIHEDRAL:
+        return (lyndon_bracelets if aperiodic else bracelets)(k, n)
+    if group is GroupKind.CYCLIC_PI:
+        return (permuted_lyndon_necklaces if aperiodic else permuted_necklaces)(alphabet, n)
+    return (permuted_lyndon_bracelets if aperiodic else permuted_bracelets)(alphabet, n)
 
 
 def total_regions(alphabet: str, n: int) -> int:

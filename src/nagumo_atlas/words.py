@@ -1,5 +1,5 @@
 """Words over {0,1} and {0,a,1}, the symmetry groups acting on them, and
-brute-force orbit enumeration.
+orbit enumeration by one sweep over all words in the global order.
 
 A word of length n labels a candidate stationary pattern on an n-cycle:
 letter 0 or 1 pins a vertex to a stable root of the cubic nonlinearity,
@@ -12,7 +12,8 @@ letter a to the unstable middle root. Four groups act on words:
 
 Letters are stored as small ints chosen so that tuple comparison is the
 global word order with 0 < a < 1. Canonical representatives are minima
-under that order, so enumeration output is deterministic.
+under that order, so enumeration output is deterministic, and a sweep in
+that order meets each orbit first at its representative.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ _CHAR_OF = {ZERO: "0", MID: "a", ONE: "1"}
 _LETTER_OF = {"0": ZERO, "a": MID, "1": ONE}
 _SWAP = {ZERO: ONE, MID: MID, ONE: ZERO}
 
-# Refuse brute-force enumeration beyond ~2^30 words unless overridden.
+# Refuse to enumerate beyond ~2^30 words unless overridden.
 _ENUMERATION_BITS = 30
 
 
@@ -160,12 +161,21 @@ def orbit(w: Word, group: GroupKind) -> frozenset[Word]:
 
 @dataclass(frozen=True)
 class OrbitClass:
+    """One orbit, held as its minimum; members are rebuilt on demand."""
+
     representative: Word
-    members: frozenset[Word]
+    group: GroupKind
+    size: int
 
     @property
-    def size(self) -> int:
-        return len(self.members)
+    def members(self) -> frozenset[Word]:
+        return orbit(self.representative, self.group)
+
+
+def enumeration_limit(alphabet: str) -> int:
+    """Longest word length enumerate_orbits accepts without allow_large."""
+    _check_alphabet(alphabet)
+    return int(_ENUMERATION_BITS / math.log2(len(_ALPHABET_LETTERS[alphabet])))
 
 
 def enumerate_orbits(
@@ -175,38 +185,37 @@ def enumerate_orbits(
     lyndon_only: bool = False,
     allow_large: bool = False,
 ) -> list[OrbitClass]:
-    """Partition words of length n into group orbits by exhaustive enumeration.
+    """Partition words of length n into group orbits by one sweep.
+
+    Words are visited in the global order, so the first word met of each
+    orbit is its minimum: that word becomes the representative, its images
+    are built once and every later word among them is skipped. Members are
+    not stored; OrbitClass.members rebuilds them from the representative.
 
     With lyndon_only, only aperiodic words (primitive period n) are listed;
     the group actions preserve primitive period, so those classes are a
     sub-partition. Classes come back sorted by representative.
 
-    Exhaustive enumeration walks k^n words, so lengths with
-    n*log2(k) > 30 are refused unless allow_large is set.
+    The sweep walks k^n words, so lengths beyond enumeration_limit(alphabet)
+    are refused unless allow_large is set.
     """
     if n < 1:
         raise ValueError(f"word length must be positive, got {n}")
-    _check_alphabet(alphabet)
+    limit = enumeration_limit(alphabet)
     letters = _ALPHABET_LETTERS[alphabet]
-    if n * math.log2(len(letters)) > _ENUMERATION_BITS and not allow_large:
+    if n > limit and not allow_large:
         raise ValueError(
             f"enumerating {len(letters)}^{n} words exceeds the size guard; "
             "pass allow_large=True to force"
         )
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    seen: set[tuple[int, ...]] = set()
+    classes = []
     for t in itertools.product(letters, repeat=n):
-        if lyndon_only and _primitive_period(t) != n:
+        if t in seen or (lyndon_only and _primitive_period(t) != n):
             continue
-        rep = min(_images(t, group))
-        buckets.setdefault(rep, []).append(t)
-    classes = [
-        OrbitClass(
-            representative=Word(rep, alphabet),
-            members=frozenset(Word(t, alphabet) for t in members),
-        )
-        for rep, members in buckets.items()
-    ]
-    classes.sort(key=lambda c: c.representative.letters)
+        images = set(_images(t, group))
+        seen |= images
+        classes.append(OrbitClass(Word(t, alphabet), group, len(images)))
     return classes
 
 

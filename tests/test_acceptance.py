@@ -17,12 +17,9 @@ from nagumo_atlas import regions
 from nagumo_atlas.cli import main as cli_main
 from nagumo_atlas.counting import (
     bracelets,
-    lyndon_bracelets,
-    lyndon_necklaces,
+    count,
     necklaces,
     permuted_bracelets,
-    permuted_lyndon_bracelets,
-    permuted_lyndon_necklaces,
     permuted_necklaces,
 )
 from nagumo_atlas.gde import Params, lde_residual_check, solve_type
@@ -73,24 +70,6 @@ GROUP_ACTION = {
 }
 
 
-def _formula_count(alphabet: str, k: int, n: int, group: GroupKind, aperiodic: bool) -> int:
-    if group is GroupKind.CYCLIC:
-        return lyndon_necklaces(k, n) if aperiodic else necklaces(k, n)
-    if group is GroupKind.DIHEDRAL:
-        return lyndon_bracelets(k, n) if aperiodic else bracelets(k, n)
-    if group is GroupKind.CYCLIC_PI:
-        return (
-            permuted_lyndon_necklaces(alphabet, n)
-            if aperiodic
-            else permuted_necklaces(alphabet, n)
-        )
-    return (
-        permuted_lyndon_bracelets(alphabet, n)
-        if aperiodic
-        else permuted_bracelets(alphabet, n)
-    )
-
-
 def test_criterion_01_summary_table_cli(capsys):
     with budget(1.0):
         rc = cli_main(["count", "--n-max", "10", "--table1"])
@@ -119,7 +98,7 @@ def test_criterion_03_formulas_match_enumeration():
             for n in range(1, n_hi + 1):
                 for group, (reflects, twisted) in GROUP_ACTION.items():
                     for aperiodic in (False, True):
-                        got = _formula_count(alphabet, k, n, group, aperiodic)
+                        got = count(alphabet, n, group, aperiodic)
                         want = oracles.class_count(
                             n, k, reflects, twisted, aperiodic_only=aperiodic
                         )

@@ -263,6 +263,32 @@ def test_verify_small_enumeration_bounds(capsys):
     assert "MISMATCH" not in out
 
 
+def test_verify_usage_errors_exit_2(capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("verify enumerated before rejecting its bounds")
+
+    monkeypatch.setattr(cli, "enumerate_orbits", no_enumeration)
+    for argv in (
+        ["verify", "--n-max-a2", "-3", "--n-max-a3", "0", "--n-max", "5"],
+        ["verify", "--n-max-a2", "0"],
+        ["verify", "--n-max-a3", "0"],
+        ["verify", "--n-max-a2", "31"],
+        ["verify", "--n-max-a3", "19"],
+        ["verify", "--n-max", "0"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_verify_largest_enumeration_bounds_are_accepted(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "enumerate_orbits", lambda n, *rest: seen.append(n) or [])
+    cli.main(["verify", "--n-max-a2", "30", "--n-max-a3", "18", "--n-max", "5"])
+    assert max(seen) == 30 and 18 in seen
+
+
 def test_verify_seed_changes_sample_note_not_result(capsys):
     code_a, out_a = run_cli(capsys, "verify", "--identities-only", "--n-max", "50",
                             "--seed", "1")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from nagumo_atlas.words import (
 )
 
 ALL_GROUPS = list(GroupKind)
+LETTERS = {A2: "01", A3: "0a1"}
 
 
 def w(text, alphabet=A3):
@@ -168,15 +170,24 @@ def test_enumerate_orbits_matches_oracle_counts():
 
 
 def test_enumerate_orbits_partitions_all_words():
-    for alphabet, k in ((A2, 2), (A3, 3)):
-        for n in (1, 2, 3, 4):
+    for alphabet, n_hi in ((A2, 8), (A3, 6)):
+        for n in range(1, n_hi + 1):
+            every_word = [
+                w("".join(t), alphabet)
+                for t in itertools.product(LETTERS[alphabet], repeat=n)
+            ]
+            aperiodic = [x for x in every_word if primitive_period(x) == n]
             for group in ALL_GROUPS:
-                classes = enumerate_orbits(n, alphabet, group)
-                total = sum(c.size for c in classes)
-                assert total == k**n
-                reps = [c.representative for c in classes]
-                assert reps == sorted(reps)
-                assert all(c.representative == min(c.members) for c in classes)
+                for lyndon in (False, True):
+                    classes = enumerate_orbits(n, alphabet, group, lyndon_only=lyndon)
+                    listed = aperiodic if lyndon else every_word
+                    for c in classes:
+                        assert c.members == orbit(c.representative, c.group)
+                        assert c.group is group
+                        assert c.size == len(c.members)
+                    assert sum(c.size for c in classes) == len(listed)
+                    reps = [c.representative for c in classes]
+                    assert reps == sorted({canonical(x, group) for x in listed})
 
 
 def test_representative_sets_match_published_table():
