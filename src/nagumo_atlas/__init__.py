@@ -13,14 +13,13 @@ Layers, lowest first:
 """
 
 from .counting import count_table, total_regions
-from .gde import ContinuationConfig, Equilibrium, Params, newton_solve, solve_type
+from .gde import Equilibrium, Params, newton_solve, solve_type
 from .regions import d_max, membership, scan_region
 from .words import A2, A3, GroupKind, Word, enumerate_orbits, representatives
 
 __all__ = [
     "A2",
     "A3",
-    "ContinuationConfig",
     "Equilibrium",
     "GroupKind",
     "Params",

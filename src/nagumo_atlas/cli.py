@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import counting, numtheory, regions
 from .counting import COUNT_FIELDS, count_table
-from .gde import ContinuationConfig, DEFAULT_CONFIG, Params, SolveError, solve_type
+from .gde import NEWTON_TOL, Params, SolveError, solve_type
 from .words import A2, A3, GroupKind, Word, enumerate_orbits, enumeration_limit
 
 _FIELD_LABELS = {
@@ -144,13 +144,10 @@ def _cmd_solve(args, error) -> int:
         p = Params(args.a, args.d)
     except ValueError as exc:
         error(str(exc))
-    cfg = DEFAULT_CONFIG
-    if args.tol is not None:
-        if args.tol <= 0:
-            error(f"--tol must be positive, got {args.tol}")
-        cfg = ContinuationConfig(newton_tol=args.tol)
     try:
-        eq = solve_type(word, p, cfg)
+        eq = solve_type(word, p, newton_tol=args.tol)
+    except ValueError as exc:
+        error(str(exc))
     except SolveError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -328,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--word", required=True, help="pattern, e.g. 0a1")
     p_solve.add_argument("--a", type=float, required=True, help="threshold in (0,1)")
     p_solve.add_argument("--d", type=float, required=True, help="coupling, >= 0")
-    p_solve.add_argument("--tol", type=float, default=None,
+    p_solve.add_argument("--tol", type=float, default=NEWTON_TOL,
                          help="Newton residual tolerance")
     p_solve.add_argument("--json", action="store_true", help="JSON output")
 

@@ -29,6 +29,7 @@ bracelet counts for lengths 2..n.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .numtheory import divisors, euler_phi, mobius
 from .words import A2, A3, GroupKind, _check_alphabet
@@ -151,6 +152,7 @@ def permuted_lyndon_necklaces(alphabet: str, n: int) -> int:
     return _exact_div(total, 2 * n)
 
 
+@lru_cache(maxsize=None)
 def permuted_lyndon_bracelets(alphabet: str, n: int) -> int:
     """Aperiodic classes up to rotation, reversal, and the value swap.
 

@@ -14,24 +14,26 @@ is an equilibrium, named by a word over {0, a, 1}. solve_type() follows
 the branch rooted at a word from d = 0 to a requested d by natural
 continuation: no fancy arclength, just steps in d, each corrected by
 Newton. A rejected step halves; two accepted steps in a row double it
-again, never beyond d_step_init. The branch ends at a fold, where Newton
-stops converging to anything nearby; solve_type then raises NotInRegion
-carrying the depth reached. Two subtleties guard the march. The Jacobian
-determinant may cross zero at an interior point of a perfectly healthy
-branch (a secondary bifurcation sits on it, which happens for the
-two-site pattern 01 at a = 1/2); the march steps across such crossings,
-and the det_sign recorded on the returned equilibrium is the sign at the
-requested d. And where a branch ends against a constant pattern, the
-constant branch survives and Newton slides onto it; a nearly constant
-corrected state of a heterogeneous word is rejected as that capture. A
-constant word's branch is exact for every d, so it is never marched.
+again, never beyond the first step. The branch ends at a fold, where
+Newton stops converging to anything nearby; solve_type then raises
+NotInRegion carrying the depth reached. Two subtleties guard the march.
+The Jacobian determinant may cross zero at an interior point of a
+perfectly healthy branch (a secondary bifurcation sits on it, which
+happens for the two-site pattern 01 at a = 1/2); the march steps across
+such crossings, and the det_sign recorded on the returned equilibrium is
+the sign at the requested d. And where a branch ends against a constant
+pattern, the constant branch survives and Newton slides onto it; a nearly
+constant corrected state of a heterogeneous word is rejected as that
+capture. A constant word's branch is exact for every d, so it is never
+marched.
 
 One march (_march) serves solve_type, a batch of one capped at the
-requested d that skips the final bisection, and every height measurement
-of the regions module. It
-moves a stack of branches in lockstep, one row per (word, a) ray, through
-one Newton correction per round, and each ray keeps its own step,
-bracket and phase. Every row takes exactly the iterations it would take
+requested d, and every height measurement of the regions module, so all
+of them stop by one rule: a ray ends when it reaches its cap or when its
+step falls below _D_STEP_MIN, and the last d it accepted is how far the
+branch reaches. The march moves a stack of branches in lockstep, one row
+per (word, a) ray, through one Newton correction per round, and each ray
+keeps its own step. Every row takes exactly the iterations it would take
 alone (batched LAPACK factors each matrix on its own), so a ray ends
 where it would end alone.
 
@@ -63,8 +65,14 @@ _MAX_CORRECTOR_JUMP = 0.25
 # corrector gliding onto a homogeneous survivor of the branch's end; biases
 # a measurement against a constant state by at most (spread/4)^2 ~ 1e-7 in d
 _HOMOG_SPREAD = 1e-3
-# a marching ray's step grows by 1/step_shrink after this many accepted
-# attempts in a row
+# Newton's residual max-norm tolerance, the one setting a caller may change
+NEWTON_TOL = 1e-12
+_MAX_NEWTON_ITERS = 25
+# a ray's first and largest step in d; a rejected step halves, and a ray
+# whose step falls below _D_STEP_MIN ends at its last accepted d
+_D_STEP_INIT = 1e-3
+_D_STEP_MIN = 1e-10
+# a marching ray's step doubles after this many accepted attempts in a row
 _REGROW_AFTER = 2
 
 
@@ -113,38 +121,6 @@ class Params:
             raise ValueError(f"threshold a must lie strictly in (0, 1), got {self.a}")
         if self.d < 0.0 or not math.isfinite(self.d):
             raise ValueError(f"coupling d must be finite and >= 0, got {self.d}")
-
-
-@dataclass(frozen=True)
-class ContinuationConfig:
-    """Continuation knobs. Steps start at, and never grow beyond,
-    d_step_init; below d_step_min the march bisects. det_guard is the
-    |det J| level, relative to the d = 0 value, below which a state counts
-    as fold-proximate; it feeds the FOLD certificates in the regions module
-    (multiple eigenvalues can vanish together at symmetric folds, so this
-    is a declaration level, not a rejection floor)."""
-
-    newton_tol: float = 1e-12
-    max_newton_iters: int = 25
-    d_step_init: float = 1e-3
-    d_step_min: float = 1e-10
-    step_shrink: float = 0.5
-    det_guard: float = 1e-2
-
-    def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
-        if not (0 < self.d_step_min <= self.d_step_init):
-            raise ValueError("need 0 < d_step_min <= d_step_init")
-        if not (0 < self.step_shrink < 1):
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if not (0 < self.det_guard < 1):
-            raise ValueError("det_guard must lie in (0, 1)")
-
-
-DEFAULT_CONFIG = ContinuationConfig()
 
 
 @dataclass(eq=False)
@@ -239,24 +215,24 @@ def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _newton_core(
-    u: np.ndarray, a: np.ndarray, d: np.ndarray, cfg: ContinuationConfig
+    u: np.ndarray, a: np.ndarray, d: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration from each row of the (B, n) stack u at a[k], d[k].
 
     Returns (roots, status): status[k] is _CONVERGED, in which case the
-    residual max-norm of roots[k] is within newton_tol, or the code of the
+    residual max-norm of roots[k] is within tol, or the code of the
     failure that stopped row k. A row leaves the iteration as soon as it
     converges or fails, so it takes exactly the steps it would take alone.
     """
     u = u.copy()
     status = np.full(len(u), _MAX_ITERS)
     live = np.arange(len(u))
-    for it in range(cfg.max_newton_iters + 1):
+    for it in range(_MAX_NEWTON_ITERS + 1):
         r = _residuals(u[live], a[live], d[live])
-        converged = np.abs(r).max(axis=1) <= cfg.newton_tol
+        converged = np.abs(r).max(axis=1) <= tol
         status[live[converged]] = _CONVERGED
         live, r = live[~converged], r[~converged]
-        if it == cfg.max_newton_iters or not live.size:
+        if it == _MAX_NEWTON_ITERS or not live.size:
             break
         du, singular = _solve_rows(_jacobians(u[live], a[live], d[live]), -r)
         u[live] += du
@@ -308,22 +284,16 @@ def _build_equilibrium(
     )
 
 
-def newton_solve(
-    u0,
-    p: Params,
-    cfg: Optional[ContinuationConfig] = None,
-    word: Optional[Word] = None,
-) -> Equilibrium:
+def newton_solve(u0, p: Params, word: Optional[Word] = None) -> Equilibrium:
     """Newton's method from the initial guess u0; no continuation involved."""
-    cfg = cfg or DEFAULT_CONFIG
     u = np.array(u0, dtype=float)
     if u.ndim != 1 or u.size < 2:
         raise ValueError("initial guess must be a 1-d array with at least two sites")
     if not np.all(np.isfinite(u)):
         raise ValueError("initial guess must be finite")
-    roots, status = _newton_core(u[None], np.array([p.a]), np.array([p.d]), cfg)
+    roots, status = _newton_core(u[None], np.array([p.a]), np.array([p.d]), NEWTON_TOL)
     if status[0] == _MAX_ITERS:
-        raise MaxIters(f"no convergence in {cfg.max_newton_iters} iterations")
+        raise MaxIters(f"no convergence in {_MAX_NEWTON_ITERS} iterations")
     if status[0] == _SINGULAR:
         raise SingularJacobian("Jacobian is singular at a Newton iterate")
     if status[0] == _OUT_OF_BOX:
@@ -351,8 +321,8 @@ def _attempt(
     u_from: np.ndarray,
     a: np.ndarray,
     d_to: np.ndarray,
-    cfg: ContinuationConfig,
     capture: np.ndarray,
+    tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One continuation step per row: correct u_from[k] at a[k], d_to[k].
 
@@ -367,7 +337,7 @@ def _attempt(
     spread is below the row's capture[k] (see _start) is that slide, not
     the tracked branch.
     """
-    u_new, status = _newton_core(u_from, a, d_to, cfg)
+    u_new, status = _newton_core(u_from, a, d_to, tol)
     ok = np.flatnonzero(status == _CONVERGED)
     ok = ok[~(np.abs(u_new[ok] - u_from[ok]).max(axis=1) > _MAX_CORRECTOR_JUMP)]
     ok = ok[~(np.ptp(u_new[ok], axis=1) < capture[ok])]
@@ -391,19 +361,14 @@ class _Branches(NamedTuple):
 
 
 def _march(
-    words: list[Word],
-    a: np.ndarray,
-    cfg: ContinuationConfig,
-    d_cap: float,
-    refine_width: float,
+    words: list[Word], a: np.ndarray, d_cap: float, tol: float = NEWTON_TOL
 ) -> _Branches:
     """Continue the branch of every (words[k], a[k]) ray upward in d.
 
-    A ray marches until it reaches d_cap or its step falls below
-    d_step_min; it then bisects the bracket between its last accepted and
-    last rejected d until that is refine_width narrow, always correcting
-    from the last accepted state. A constant word's branch is exact, so
-    its ray ends at d_cap without an attempt. The words share a length.
+    A ray ends when it reaches d_cap or when its step falls below
+    _D_STEP_MIN, always correcting from its last accepted state. A
+    constant word's branch is exact, so its ray ends at d_cap without an
+    attempt. The words share a length.
     """
     u, sign, logdet0, capture = _start(words, a)
     d_ok = np.zeros(len(words))
@@ -417,25 +382,16 @@ def _march(
             _jacobians(u[constant], a[constant], top)
         )
         flipped[constant] = sign_top != sign[constant]
-    d_fail = np.full(len(words), np.nan)
-    step = np.full(len(words), cfg.d_step_init)
+    step = np.full(len(words), _D_STEP_INIT)
     streak = np.zeros(len(words), int)
 
     while True:
-        # a ray whose step fell below d_step_min bisects, and its step stays
-        # there; marching rays stop at the cap, bisecting ones once the
-        # bracket is refine_width narrow
-        bisecting = step < cfg.d_step_min
-        live = np.flatnonzero(
-            np.where(bisecting, d_fail - d_ok > refine_width, d_ok < d_cap)
-        )
+        live = np.flatnonzero((d_ok < d_cap) & (step >= _D_STEP_MIN))
         if not live.size:
             break
-        d_try = np.where(
-            bisecting, 0.5 * (d_ok + d_fail), np.minimum(d_ok + step, d_cap)
-        )[live]
+        d_try = np.minimum(d_ok[live] + step[live], d_cap)
         accepted, u_new, sign_new, logdet = _attempt(
-            u[live], a[live], d_try, cfg, capture[live]
+            u[live], a[live], d_try, capture[live], tol
         )
         won, lost = live[accepted], live[~accepted]
         u[won] = u_new[accepted]
@@ -443,28 +399,27 @@ def _march(
         sign[won] = sign_new[accepted]
         logdet_ok[won] = logdet[accepted]
         d_ok[won] = d_try[accepted]
-        d_fail[lost] = d_try[~accepted]
         streak[won] += 1
         streak[lost] = 0
-        grow = won[(streak[won] == _REGROW_AFTER) & ~bisecting[won]]
-        step[grow] = np.minimum(step[grow] / cfg.step_shrink, cfg.d_step_init)
+        grow = won[streak[won] == _REGROW_AFTER]
+        step[grow] = np.minimum(2.0 * step[grow], _D_STEP_INIT)
         streak[grow] = 0
-        step[lost[~bisecting[lost]]] *= cfg.step_shrink
+        step[lost] *= 0.5
     return _Branches(d_ok, u, logdet_ok, logdet0, flipped)
 
 
-def solve_type(
-    word: Word, p: Params, cfg: Optional[ContinuationConfig] = None
-) -> Equilibrium:
+def solve_type(word: Word, p: Params, newton_tol: float = NEWTON_TOL) -> Equilibrium:
     """Equilibrium of the type named by the word, at parameters p.
 
-    Continues the branch rooted at the exact d = 0 state of the word.
+    Continues the branch rooted at the exact d = 0 state of the word,
+    correcting each step until the residual max-norm is within newton_tol.
     Raises NotInRegion if the branch folds before p.d.
     """
     if len(word) < 2:
         raise ValueError("dynamics need words of length at least 2")
-    # an infinite refine_width skips the bisection: no height is reported
-    end = _march([word], np.array([p.a]), cfg or DEFAULT_CONFIG, p.d, math.inf)
+    if not (0.0 < newton_tol < math.inf):
+        raise ValueError(f"newton_tol must be finite and positive, got {newton_tol}")
+    end = _march([word], np.array([p.a]), p.d, newton_tol)
     if end.d[0] < p.d:
         raise NotInRegion(word, p, d_reached=float(end.d[0]))
     return _build_equilibrium(word, end.u[0], p, det_flip_seen=bool(end.flipped[0]))

@@ -4,9 +4,10 @@ Each pattern (word) exists on a parameter set that contains a vertical
 segment {a} x [0, d_max(a)) for every threshold a it exists at when
 decoupled. d_max() measures that height by continuation from d = 0 with
 the march that gde.solve_type also runs (gde._march, which describes the
-step control): the height is the last d the march accepts, its bracket
-on the end of the branch refined by bisection. So membership() and
-d_max() agree about whether a pattern exists at a point.
+step control): the height is the last d the march accepts before its
+step falls below the floor. solve_type stops by the same rule, so
+membership() and d_max() agree about whether a pattern exists at a
+point, and solve_type's NotInRegion.d_reached is d_max.
 
 A batch of (word, a) rays, whose words share a length, is marched in
 lockstep, and a ray ends exactly where it would end alone. d_max is a
@@ -15,9 +16,10 @@ batch of one; scan_region and verify_region_symmetries submit whole grids.
 The terminal tag says why the march stopped:
 
 * DMAX_CAP    - reached the requested cap, still alive;
-* FOLD        - the Jacobian determinant collapsed while approaching the
-                bracket (the branch turns around; certificate = ratio of
-                |det J| at the last accepted point to its d = 0 value);
+* FOLD        - the Jacobian determinant collapsed on the way to the last
+                accepted point (the branch turns around; certificate =
+                ratio of |det J| there to its d = 0 value, at most
+                DET_GUARD);
 * STEP_FLOOR  - the march died without det collapse (a solver artifact,
                 not a certified fold).
 """
@@ -32,11 +34,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gde
-from .gde import ContinuationConfig, Params
+from .gde import Params
 from .words import Word, permute_values, reflect, rotate
 
 DEFAULT_D_CAP = 0.5
-DEFAULT_REFINE_WIDTH = 1e-10
+# |det J| relative to its d = 0 value at or below which a ray's end counts
+# as a fold; multiple eigenvalues can vanish together at symmetric folds,
+# so this is a declaration level, not a rejection floor
+DET_GUARD = 1e-2
 
 
 class Terminal(Enum):
@@ -60,17 +65,10 @@ class RegionBoundary:
     samples: list[BoundarySample]
 
 
-def _march(
-    rays: Sequence[tuple[Word, float]],
-    cfg: ContinuationConfig,
-    d_cap: float,
-    refine_width: float,
-) -> list[BoundarySample]:
+def _march(rays: Sequence[tuple[Word, float]], d_cap: float) -> list[BoundarySample]:
     """Measure the region height along every (word, a) ray of the batch."""
     if d_cap <= 0 or not math.isfinite(d_cap):
         raise ValueError(f"d_cap must be finite and positive, got {d_cap}")
-    if refine_width <= 0:
-        raise ValueError("refine_width must be positive")
     for word, a in rays:
         if not (0.0 < a < 1.0):
             raise ValueError(f"threshold a must lie strictly in (0, 1), got {a}")
@@ -82,13 +80,13 @@ def _march(
         return []
 
     words = [word for word, _ in rays]
-    end = gde._march(words, np.array([x for _, x in rays]), cfg, d_cap, refine_width)
+    end = gde._march(words, np.array([x for _, x in rays]), d_cap)
     samples = []
     for k, (_, a_k) in enumerate(rays):
         ratio = math.exp(float(end.logdet[k]) - float(end.logdet0[k]))
         if end.d[k] >= d_cap:
             terminal = Terminal.DMAX_CAP
-        elif ratio <= cfg.det_guard:
+        elif ratio <= DET_GUARD:
             terminal = Terminal.FOLD
         else:
             terminal = Terminal.STEP_FLOOR
@@ -96,28 +94,22 @@ def _march(
     return samples
 
 
-def d_max(
-    word: Word,
-    a: float,
-    cfg: Optional[ContinuationConfig] = None,
-    d_cap: float = DEFAULT_D_CAP,
-    refine_width: float = DEFAULT_REFINE_WIDTH,
-) -> tuple[float, Terminal]:
+def d_max(word: Word, a: float, d_cap: float = DEFAULT_D_CAP) -> tuple[float, Terminal]:
     """Height of the existence region of the pattern above threshold a.
 
     Returns (d_max, terminal). At a fold the height is the last d the
-    step-acceptance rule accepts, not the fold itself: against the
-    analytic folds (01 at a = 1/2 folds at 1/16, 0a at a(1-a)/4) it falls
-    short by 6e-8 to 1.5e-7, whatever refine_width.
+    march accepts before its step falls below the floor, not the fold
+    itself: against the analytic folds (01 at a = 1/2 folds at 1/16, 0a
+    at a(1-a)/4) it falls short by 6e-8 to 1.5e-7.
     """
-    (sample,) = _march([(word, a)], cfg or gde.DEFAULT_CONFIG, d_cap, refine_width)
+    (sample,) = _march([(word, a)], d_cap)
     return sample.d_max, sample.terminal
 
 
-def membership(word: Word, p: Params, cfg: Optional[ContinuationConfig] = None) -> bool:
+def membership(word: Word, p: Params) -> bool:
     """Whether the pattern exists at p, decided by continuation from d = 0."""
     try:
-        gde.solve_type(word, p, cfg)
+        gde.solve_type(word, p)
     except gde.SolveError:
         return False
     return True
@@ -126,9 +118,7 @@ def membership(word: Word, p: Params, cfg: Optional[ContinuationConfig] = None) 
 def scan_region(
     word: Word,
     a_grid: Sequence[float],
-    cfg: Optional[ContinuationConfig] = None,
     d_cap: float = DEFAULT_D_CAP,
-    refine_width: float = DEFAULT_REFINE_WIDTH,
     workers: Optional[int] = None,
 ) -> RegionBoundary:
     """Trace d_max over a strictly increasing grid of thresholds.
@@ -136,7 +126,6 @@ def scan_region(
     The grid is marched as one batch in this process; workers may only be
     None or 1.
     """
-    cfg = cfg or gde.DEFAULT_CONFIG
     grid = [float(a) for a in a_grid]
     if not grid:
         raise ValueError("the threshold grid is empty")
@@ -146,7 +135,7 @@ def scan_region(
         raise ValueError("the threshold grid must be strictly increasing")
     if workers not in (None, 1):
         raise ValueError(f"scan_region runs in one process, got workers={workers}")
-    samples = _march([(word, a) for a in grid], cfg, d_cap, refine_width)
+    samples = _march([(word, a) for a in grid], d_cap)
     return RegionBoundary(word=word, d_cap=d_cap, samples=samples)
 
 
@@ -167,16 +156,14 @@ class SymmetryReport:
 def verify_region_symmetries(
     word: Word,
     a_grid: Sequence[float],
-    cfg: Optional[ContinuationConfig] = None,
     d_cap: float = DEFAULT_D_CAP,
 ) -> SymmetryReport:
     """Check that region height is blind to rotation and reflection of the
     word, and maps a -> 1-a under the value swap."""
-    cfg = cfg or gde.DEFAULT_CONFIG
     grid = [float(a) for a in a_grid]
     rays = [(w, a) for w in (word, rotate(word), reflect(word)) for a in grid]
     rays += [(permute_values(word), 1.0 - a) for a in grid]
-    heights = [s.d_max for s in _march(rays, cfg, d_cap, DEFAULT_REFINE_WIDTH)]
+    heights = [s.d_max for s in _march(rays, d_cap)]
     base, rot, refl, mir = np.array(heights).reshape(4, len(grid))
 
     def dev(other):

@@ -187,6 +187,8 @@ def test_solve_usage_errors_exit_2(capsys):
         ["solve", "--word", "01", "--a", "1.5", "--d", "0.1"],
         ["solve", "--word", "01", "--a", "0.5", "--d", "-0.1"],
         ["solve", "--word", "01", "--a", "0.5", "--d", "0.1", "--tol", "0"],
+        ["solve", "--word", "01", "--a", "0.5", "--d", "0.1", "--tol", "nan"],
+        ["solve", "--word", "01", "--a", "0.5", "--d", "0.1", "--tol", "inf"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)

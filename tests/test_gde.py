@@ -6,7 +6,6 @@ import pytest
 
 from nagumo_atlas import gde
 from nagumo_atlas.gde import (
-    ContinuationConfig,
     DivergedOutOfBox,
     Equilibrium,
     NotInRegion,
@@ -113,15 +112,13 @@ def test_params_validation():
     assert Params(0.5, 0.0).d == 0.0
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ContinuationConfig(newton_tol=0.0)
-    with pytest.raises(ValueError):
-        ContinuationConfig(max_newton_iters=0)
-    with pytest.raises(ValueError):
-        ContinuationConfig(step_shrink=1.0)
-    with pytest.raises(ValueError):
-        ContinuationConfig(det_guard=2.0)
+def test_newton_tol_validation():
+    p = Params(0.5, 0.01)
+    for tol in (0.0, -1e-12, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve_type(w("01"), p, newton_tol=tol)
+    loose = solve_type(w("01"), p, newton_tol=1e-6)
+    assert loose.residual_norm <= 1e-6
 
 
 def test_newton_solve_homogeneous_word_is_exact():

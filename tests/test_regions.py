@@ -3,7 +3,7 @@ import math
 import pytest
 
 from nagumo_atlas import regions
-from nagumo_atlas.gde import ContinuationConfig, NotInRegion, Params, solve_type
+from nagumo_atlas.gde import NotInRegion, Params, solve_type
 from nagumo_atlas.regions import (
     Terminal,
     d_max,
@@ -73,12 +73,13 @@ def test_fold_terminal_carries_collapsed_certificate():
     boundary = scan_region(w("01"), [0.45, 0.5, 0.55])
     for sample in boundary.samples:
         assert sample.terminal is Terminal.FOLD
-        assert sample.det_ratio <= regions.gde.DEFAULT_CONFIG.det_guard
+        assert sample.det_ratio <= regions.DET_GUARD
 
 
-def test_refinement_insensitive_to_step_schedule():
+def test_refinement_insensitive_to_step_schedule(monkeypatch):
     coarse, _ = d_max(w("01"), 0.5)
-    fine, _ = d_max(w("01"), 0.5, cfg=ContinuationConfig(d_step_init=5e-4))
+    monkeypatch.setattr(regions.gde, "_D_STEP_INIT", 5e-4)
+    fine, _ = d_max(w("01"), 0.5)
     assert fine == pytest.approx(coarse, abs=1e-9)
 
 
@@ -121,7 +122,7 @@ def test_0a_family_is_not_captured_by_the_constant_branch():
     assert a * (1.0 - a) / 4.0 - 2e-6 < height <= a * (1.0 - a) / 4.0
     with pytest.raises(NotInRegion) as info:
         solve_type(w("0a"), Params(a, 0.2))
-    assert info.value.d_reached == pytest.approx(height, abs=1e-9)
+    assert info.value.d_reached == height
     height, terminal = d_max(w("00a"), 0.045)
     assert terminal is Terminal.FOLD and height < 0.05
     state = solve_type(w("00a"), Params(0.045, 0.9 * height)).u
@@ -159,12 +160,11 @@ def test_rays_in_one_batch_do_not_interact():
         (w("01"), 0.3),
         (w("0a"), 0.4),
     ]
-    cfg = regions.gde.DEFAULT_CONFIG
-    cap, width = regions.DEFAULT_D_CAP, regions.DEFAULT_REFINE_WIDTH
-    together = regions._march(rays, cfg, cap, width)
+    cap = regions.DEFAULT_D_CAP
+    together = regions._march(rays, cap)
     assert {s.terminal for s in together} == {Terminal.FOLD, Terminal.DMAX_CAP}
     for ray, mixed in zip(rays, together):
-        (alone,) = regions._march([ray], cfg, cap, width)
+        (alone,) = regions._march([ray], cap)
         assert (mixed.d_max, mixed.terminal, mixed.det_ratio) == (
             alone.d_max,
             alone.terminal,
@@ -182,12 +182,18 @@ def test_membership_examples():
 
 
 def test_membership_agrees_with_the_region_march():
-    # membership drives the same step-acceptance rule as the march, so the
+    # membership drives the same march and stopping rule as d_max, so the
     # two can never disagree; straddle the measured 01 fold to check
     assert membership(w("01"), Params(0.5, 0.045))
     height, _ = d_max(w("01"), 0.5)
     assert membership(w("01"), Params(0.5, height - 1e-4))
     assert not membership(w("01"), Params(0.5, height + 1e-4))
+    # a solve up to the cap stops exactly where the region march does
+    for text, a in (("01", 0.5), ("0a", 0.1), ("0a", 0.31), ("0a1", 0.475)):
+        height, _ = d_max(w(text), a)
+        with pytest.raises(NotInRegion) as info:
+            solve_type(w(text), Params(a, regions.DEFAULT_D_CAP))
+        assert info.value.d_reached == height
 
 
 def test_symmetry_report_rotation_family():
