@@ -6,14 +6,14 @@ Layers, lowest first:
 * numtheory - exact Moebius/totient/divisor helpers.
 * words     - words over {0,1} / {0,a,1}, symmetry groups, orbit enumeration.
 * counting  - closed-form class counts (necklace/bracelet families).
-* gde       - stationary states: Newton solver and branch continuation in
-              the diffusion parameter.
+* gde       - stationary states by branch continuation in the diffusion
+              parameter, each step corrected by Newton.
 * regions   - existence-region probing: how far in d a pattern survives.
 * cli       - the nagumo-atlas command.
 """
 
-from .counting import count_table, total_regions
-from .gde import Equilibrium, Params, newton_solve, solve_type
+from .counting import count, total_regions
+from .gde import Equilibrium, Params, solve_type
 from .regions import d_max, membership, scan_region
 from .words import A2, A3, GroupKind, Word, enumerate_orbits, representatives
 
@@ -24,11 +24,10 @@ __all__ = [
     "GroupKind",
     "Params",
     "Word",
-    "count_table",
+    "count",
     "d_max",
     "enumerate_orbits",
     "membership",
-    "newton_solve",
     "representatives",
     "scan_region",
     "solve_type",

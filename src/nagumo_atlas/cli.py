@@ -25,22 +25,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import counting, numtheory, regions
-from .counting import COUNT_FIELDS, count_table
-from .gde import NEWTON_TOL, Params, SolveError, solve_type
+from .gde import Params, SolveError, solve_type
 from .words import A2, A3, GroupKind, Word, enumerate_orbits, enumeration_limit
-
-_FIELD_LABELS = {
-    "necklaces": "N",
-    "bracelets": "B",
-    "permuted_necklaces": "Npi",
-    "permuted_bracelets": "Bpi",
-    "lyndon_necklaces": "NL",
-    "lyndon_bracelets": "BL",
-    "permuted_lyndon_necklaces": "NLpi",
-    "permuted_lyndon_bracelets": "BLpi",
-    "total_regions": "total",
-}
-_COUNT_COLUMNS = tuple(f for f in COUNT_FIELDS if f != "total_regions")
 
 _GROUP_TOKEN = re.compile(r"^(c|d)(\d+)?(pi)?$")
 
@@ -78,41 +64,49 @@ def _write_csv(rows: list[list], header: list[str], path: Optional[str]) -> None
             stream.close()
 
 
+def _count_label(group: GroupKind, aperiodic: bool) -> str:
+    """N (necklaces) or B (bracelets), then L if aperiodic, then pi if the
+    group swaps values."""
+    return (
+        ("B" if group.reflects else "N")
+        + ("L" if aperiodic else "")
+        + ("pi" if group.swaps_values else "")
+    )
+
+
 def _cmd_count(args, error) -> int:
     if not (1 <= args.n_max <= _N_MAX_LIMIT):
         error(f"--n-max must lie in 1..{_N_MAX_LIMIT}, got {args.n_max}")
     if args.table1 and args.alphabet is not None:
         error("--table1 already fixes the columns; drop --alphabet")
-    tables = [count_table(n) for n in range(1, args.n_max + 1)]
     if args.table1:
         header = ["n", "total_a3", "BLpi_a3", "total_a2", "BLpi_a2"]
-        rows = [
-            [
-                t.n,
-                t.a3.total_regions,
-                t.a3.permuted_lyndon_bracelets,
-                t.a2.total_regions,
-                t.a2.permuted_lyndon_bracelets,
-            ]
-            for t in tables
-            if t.n >= 2
-        ]
+        rows = []
+        for n in range(2, args.n_max + 1):
+            row: list = [n]
+            for alphabet in (A3, A2):
+                row += [
+                    counting.total_regions(alphabet, n),
+                    counting.count(alphabet, n, GroupKind.DIHEDRAL_PI, True),
+                ]
+            rows.append(row)
     else:
+        # N, B, Npi, Bpi, then their aperiodic variants NL, BL, NLpi, BLpi
+        columns = [(group, aperiodic) for aperiodic in (False, True) for group in GroupKind]
         blocks = [A2, A3] if args.alphabet is None else [args.alphabet]
         header = ["n"]
         for alphabet in blocks:
-            header += [f"{_FIELD_LABELS[f]}_{alphabet}" for f in _COUNT_COLUMNS]
+            header += [f"{_count_label(g, ap)}_{alphabet}" for g, ap in columns]
         header += [f"total_{alphabet}" for alphabet in blocks]
         rows = []
-        for t in tables:
-            per = {A2: t.a2, A3: t.a3}
-            row: list = [t.n]
+        for n in range(1, args.n_max + 1):
+            row: list = [n]
             for alphabet in blocks:
-                counts = per[alphabet]
-                row += [getattr(counts, f) for f in _COUNT_COLUMNS]
-            for alphabet in blocks:
-                total = per[alphabet].total_regions
-                row.append("" if total is None else total)
+                row += [counting.count(alphabet, n, g, ap) for g, ap in columns]
+            row += [
+                counting.total_regions(alphabet, n) if n >= 2 else ""
+                for alphabet in blocks
+            ]
             rows.append(row)
     _write_csv(rows, header, args.out)
     return 0
@@ -145,7 +139,7 @@ def _cmd_solve(args, error) -> int:
     except ValueError as exc:
         error(str(exc))
     try:
-        eq = solve_type(word, p, newton_tol=args.tol)
+        eq = solve_type(word, p)
     except ValueError as exc:
         error(str(exc))
     except SolveError as exc:
@@ -325,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--word", required=True, help="pattern, e.g. 0a1")
     p_solve.add_argument("--a", type=float, required=True, help="threshold in (0,1)")
     p_solve.add_argument("--d", type=float, required=True, help="coupling, >= 0")
-    p_solve.add_argument("--tol", type=float, default=NEWTON_TOL,
-                         help="Newton residual tolerance")
     p_solve.add_argument("--json", action="store_true", help="JSON output")
 
     p_region = sub.add_parser("region", help="d_max boundary scan as CSV")

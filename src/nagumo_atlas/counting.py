@@ -28,16 +28,10 @@ bracelet counts for lengths 2..n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .numtheory import divisors, euler_phi, mobius
-from .words import A2, A3, GroupKind, _check_alphabet
-
-
-def _check_positive(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n!r}")
+from .numtheory import _check_positive, divisors, euler_phi, mobius
+from .words import A2, GroupKind, _check_alphabet
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -186,47 +180,3 @@ def total_regions(alphabet: str, n: int) -> int:
     if n < 2:
         raise ValueError(f"totals need n >= 2, got {n}")
     return 1 + sum(permuted_lyndon_bracelets(alphabet, m) for m in range(2, n + 1))
-
-
-@dataclass(frozen=True)
-class AlphabetCounts:
-    necklaces: int
-    bracelets: int
-    permuted_necklaces: int
-    permuted_bracelets: int
-    lyndon_necklaces: int
-    lyndon_bracelets: int
-    permuted_lyndon_necklaces: int
-    permuted_lyndon_bracelets: int
-    total_regions: int | None
-
-
-@dataclass(frozen=True)
-class CountTable:
-    n: int
-    a2: AlphabetCounts
-    a3: AlphabetCounts
-
-
-COUNT_FIELDS = tuple(f.name for f in fields(AlphabetCounts))
-
-
-def _alphabet_counts(alphabet: str, n: int) -> AlphabetCounts:
-    k = _letters(alphabet)
-    return AlphabetCounts(
-        necklaces=necklaces(k, n),
-        bracelets=bracelets(k, n),
-        permuted_necklaces=permuted_necklaces(alphabet, n),
-        permuted_bracelets=permuted_bracelets(alphabet, n),
-        lyndon_necklaces=lyndon_necklaces(k, n),
-        lyndon_bracelets=lyndon_bracelets(k, n),
-        permuted_lyndon_necklaces=permuted_lyndon_necklaces(alphabet, n),
-        permuted_lyndon_bracelets=permuted_lyndon_bracelets(alphabet, n),
-        total_regions=total_regions(alphabet, n) if n >= 2 else None,
-    )
-
-
-def count_table(n: int) -> CountTable:
-    """All eight counts plus totals for both alphabets at one length."""
-    _check_positive(n)
-    return CountTable(n=n, a2=_alphabet_counts(A2, n), a3=_alphabet_counts(A3, n))

@@ -48,15 +48,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .words import MID, ONE, ZERO, Word
 
-# iterates leaving [-0.5, 1.5]^n have left every basin of interest
-_BOX_LO = -0.5
-_BOX_HI = 1.5
 # reject a continuation step whose corrected point jumps this far from the
 # predictor; catches silent hops onto a sibling branch near a fold
 _MAX_CORRECTOR_JUMP = 0.25
@@ -65,8 +62,9 @@ _MAX_CORRECTOR_JUMP = 0.25
 # corrector gliding onto a homogeneous survivor of the branch's end; biases
 # a measurement against a constant state by at most (spread/4)^2 ~ 1e-7 in d
 _HOMOG_SPREAD = 1e-3
-# Newton's residual max-norm tolerance, the one setting a caller may change
-NEWTON_TOL = 1e-12
+# Newton's residual max-norm tolerance. Near a fold the residual is flat in
+# u, so a much looser one accepts points on no branch, past the fold
+_NEWTON_TOL = 1e-12
 _MAX_NEWTON_ITERS = 25
 # a ray's first and largest step in d; a rejected step halves, and a ray
 # whose step falls below _D_STEP_MIN ends at its last accepted d
@@ -80,15 +78,7 @@ class SolveError(Exception):
     """Base class for solver failures."""
 
 
-class MaxIters(SolveError):
-    pass
-
-
 class SingularJacobian(SolveError):
-    pass
-
-
-class DivergedOutOfBox(SolveError):
     pass
 
 
@@ -125,7 +115,7 @@ class Params:
 
 @dataclass(eq=False)
 class Equilibrium:
-    word: Optional[Word]
+    word: Word
     u: np.ndarray
     params: Params
     det_sign: int
@@ -194,10 +184,6 @@ def decoupled_state(word: Word, a: float) -> np.ndarray:
     return np.array([values[x] for x in word.letters], dtype=float)
 
 
-# outcome codes of _newton_core, one per row
-_CONVERGED, _MAX_ITERS, _SINGULAR, _OUT_OF_BOX = range(4)
-
-
 def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve J[k] x[k] = rhs[k] for every k; returns (x, singular mask)."""
     try:
@@ -215,39 +201,36 @@ def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _newton_core(
-    u: np.ndarray, a: np.ndarray, d: np.ndarray, tol: float
+    u: np.ndarray, a: np.ndarray, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration from each row of the (B, n) stack u at a[k], d[k].
 
-    Returns (roots, status): status[k] is _CONVERGED, in which case the
-    residual max-norm of roots[k] is within tol, or the code of the
-    failure that stopped row k. A row leaves the iteration as soon as it
-    converges or fails, so it takes exactly the steps it would take alone.
+    Returns (roots, converged): where converged[k] holds, the residual
+    max-norm of roots[k] is within _NEWTON_TOL. A row stops unconverged
+    after _MAX_NEWTON_ITERS iterations, at a singular Jacobian, or when an
+    iterate leaves [-0.5, 1.5]^n, outside every basin of interest. A row
+    leaves the iteration as soon as it converges or fails, so it takes
+    exactly the steps it would take alone.
     """
     u = u.copy()
-    status = np.full(len(u), _MAX_ITERS)
+    converged = np.zeros(len(u), bool)
     live = np.arange(len(u))
     for it in range(_MAX_NEWTON_ITERS + 1):
         r = _residuals(u[live], a[live], d[live])
-        converged = np.abs(r).max(axis=1) <= tol
-        status[live[converged]] = _CONVERGED
-        live, r = live[~converged], r[~converged]
+        done = np.abs(r).max(axis=1) <= _NEWTON_TOL
+        converged[live[done]] = True
+        live, r = live[~done], r[~done]
         if it == _MAX_NEWTON_ITERS or not live.size:
             break
         du, singular = _solve_rows(_jacobians(u[live], a[live], d[live]), -r)
         u[live] += du
         out = np.abs(u[live] - 0.5).max(axis=1) > 1.0
-        status[live[singular]] = _SINGULAR
-        status[live[out & ~singular]] = _OUT_OF_BOX
         live = live[~(singular | out)]
-    return u, status
+    return u, converged
 
 
 def _build_equilibrium(
-    word: Optional[Word],
-    u: np.ndarray,
-    p: Params,
-    det_flip_seen: bool = False,
+    word: Word, u: np.ndarray, p: Params, det_flip_seen: bool
 ) -> Equilibrium:
     """Assemble an Equilibrium at state u, cross-checking stability.
 
@@ -266,7 +249,7 @@ def _build_equilibrium(
         raise SingularJacobian("Jacobian determinant vanished")
     eigs = np.linalg.eigvalsh(J)
     eig_stable = bool(eigs[-1] < 0.0)
-    if word is not None and not det_flip_seen:
+    if not det_flip_seen:
         word_stable = MID not in word.letters
         if word_stable != eig_stable:
             raise StabilityMismatch(
@@ -282,23 +265,6 @@ def _build_equilibrium(
         stable=eig_stable,
         residual_norm=rmax,
     )
-
-
-def newton_solve(u0, p: Params, word: Optional[Word] = None) -> Equilibrium:
-    """Newton's method from the initial guess u0; no continuation involved."""
-    u = np.array(u0, dtype=float)
-    if u.ndim != 1 or u.size < 2:
-        raise ValueError("initial guess must be a 1-d array with at least two sites")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("initial guess must be finite")
-    roots, status = _newton_core(u[None], np.array([p.a]), np.array([p.d]), NEWTON_TOL)
-    if status[0] == _MAX_ITERS:
-        raise MaxIters(f"no convergence in {_MAX_NEWTON_ITERS} iterations")
-    if status[0] == _SINGULAR:
-        raise SingularJacobian("Jacobian is singular at a Newton iterate")
-    if status[0] == _OUT_OF_BOX:
-        raise DivergedOutOfBox(f"iterate left [{_BOX_LO}, {_BOX_HI}]")
-    return _build_equilibrium(word, roots[0], p)
 
 
 def _start(
@@ -322,7 +288,6 @@ def _attempt(
     a: np.ndarray,
     d_to: np.ndarray,
     capture: np.ndarray,
-    tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One continuation step per row: correct u_from[k] at a[k], d_to[k].
 
@@ -337,8 +302,8 @@ def _attempt(
     spread is below the row's capture[k] (see _start) is that slide, not
     the tracked branch.
     """
-    u_new, status = _newton_core(u_from, a, d_to, tol)
-    ok = np.flatnonzero(status == _CONVERGED)
+    u_new, converged = _newton_core(u_from, a, d_to)
+    ok = np.flatnonzero(converged)
     ok = ok[~(np.abs(u_new[ok] - u_from[ok]).max(axis=1) > _MAX_CORRECTOR_JUMP)]
     ok = ok[~(np.ptp(u_new[ok], axis=1) < capture[ok])]
     sign = np.zeros(len(u_new))
@@ -360,9 +325,7 @@ class _Branches(NamedTuple):
     flipped: np.ndarray  # whether det J changed sign between accepted steps
 
 
-def _march(
-    words: list[Word], a: np.ndarray, d_cap: float, tol: float = NEWTON_TOL
-) -> _Branches:
+def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
     """Continue the branch of every (words[k], a[k]) ray upward in d.
 
     A ray ends when it reaches d_cap or when its step falls below
@@ -391,7 +354,7 @@ def _march(
             break
         d_try = np.minimum(d_ok[live] + step[live], d_cap)
         accepted, u_new, sign_new, logdet = _attempt(
-            u[live], a[live], d_try, capture[live], tol
+            u[live], a[live], d_try, capture[live]
         )
         won, lost = live[accepted], live[~accepted]
         u[won] = u_new[accepted]
@@ -408,18 +371,16 @@ def _march(
     return _Branches(d_ok, u, logdet_ok, logdet0, flipped)
 
 
-def solve_type(word: Word, p: Params, newton_tol: float = NEWTON_TOL) -> Equilibrium:
+def solve_type(word: Word, p: Params) -> Equilibrium:
     """Equilibrium of the type named by the word, at parameters p.
 
     Continues the branch rooted at the exact d = 0 state of the word,
-    correcting each step until the residual max-norm is within newton_tol.
+    correcting each step until the residual max-norm is within _NEWTON_TOL.
     Raises NotInRegion if the branch folds before p.d.
     """
     if len(word) < 2:
         raise ValueError("dynamics need words of length at least 2")
-    if not (0.0 < newton_tol < math.inf):
-        raise ValueError(f"newton_tol must be finite and positive, got {newton_tol}")
-    end = _march([word], np.array([p.a]), p.d, newton_tol)
+    end = _march([word], np.array([p.a]), p.d)
     if end.d[0] < p.d:
         raise NotInRegion(word, p, d_reached=float(end.d[0]))
     return _build_equilibrium(word, end.u[0], p, det_flip_seen=bool(end.flipped[0]))

@@ -37,7 +37,7 @@ _CHAR_OF = {ZERO: "0", MID: "a", ONE: "1"}
 _LETTER_OF = {"0": ZERO, "a": MID, "1": ONE}
 _SWAP = {ZERO: ONE, MID: MID, ONE: ZERO}
 
-# Refuse to enumerate beyond ~2^30 words unless overridden.
+# Refuse to enumerate beyond ~2^30 words.
 _ENUMERATION_BITS = 30
 
 
@@ -173,7 +173,7 @@ class OrbitClass:
 
 
 def enumeration_limit(alphabet: str) -> int:
-    """Longest word length enumerate_orbits accepts without allow_large."""
+    """Longest word length enumerate_orbits accepts: k^n stays within 2^30."""
     _check_alphabet(alphabet)
     return int(_ENUMERATION_BITS / math.log2(len(_ALPHABET_LETTERS[alphabet])))
 
@@ -183,7 +183,6 @@ def enumerate_orbits(
     alphabet: str = A3,
     group: GroupKind = GroupKind.DIHEDRAL_PI,
     lyndon_only: bool = False,
-    allow_large: bool = False,
 ) -> list[OrbitClass]:
     """Partition words of length n into group orbits by one sweep.
 
@@ -197,16 +196,16 @@ def enumerate_orbits(
     sub-partition. Classes come back sorted by representative.
 
     The sweep walks k^n words, so lengths beyond enumeration_limit(alphabet)
-    are refused unless allow_large is set.
+    are refused.
     """
     if n < 1:
         raise ValueError(f"word length must be positive, got {n}")
     limit = enumeration_limit(alphabet)
     letters = _ALPHABET_LETTERS[alphabet]
-    if n > limit and not allow_large:
+    if n > limit:
         raise ValueError(
-            f"enumerating {len(letters)}^{n} words exceeds the size guard; "
-            "pass allow_large=True to force"
+            f"enumerating {len(letters)}^{n} words exceeds the size guard "
+            f"of length {limit}"
         )
     seen: set[tuple[int, ...]] = set()
     classes = []
@@ -224,12 +223,9 @@ def representatives(
     alphabet: str = A3,
     group: GroupKind = GroupKind.DIHEDRAL_PI,
     lyndon_only: bool = True,
-    allow_large: bool = False,
 ) -> list[Word]:
     """Sorted canonical representatives, one per orbit class."""
     return [
         c.representative
-        for c in enumerate_orbits(
-            n, alphabet, group, lyndon_only=lyndon_only, allow_large=allow_large
-        )
+        for c in enumerate_orbits(n, alphabet, group, lyndon_only=lyndon_only)
     ]

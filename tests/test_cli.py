@@ -56,6 +56,23 @@ def test_count_full_columns(capsys):
     assert by_n[3][header.index("Bpi_a3")] == "6"
 
 
+COUNT_COLUMNS = ("N", "B", "Npi", "Bpi", "NL", "BL", "NLpi", "BLpi")
+
+
+def test_count_header_is_exact(capsys):
+    _, out = run_cli(capsys, "count", "--n-max", "1")
+    header, _ = parse_csv(out)
+    assert header == (
+        ["n"]
+        + [f"{c}_a2" for c in COUNT_COLUMNS]
+        + [f"{c}_a3" for c in COUNT_COLUMNS]
+        + ["total_a2", "total_a3"]
+    )
+    _, out = run_cli(capsys, "count", "--n-max", "1", "--alphabet", "a3")
+    header, _ = parse_csv(out)
+    assert header == ["n"] + [f"{c}_a3" for c in COUNT_COLUMNS] + ["total_a3"]
+
+
 def test_count_single_alphabet(capsys):
     code, out = run_cli(capsys, "count", "--n-max", "2", "--alphabet", "a2")
     assert code == 0
@@ -189,6 +206,10 @@ def test_solve_usage_errors_exit_2(capsys):
         ["solve", "--word", "01", "--a", "0.5", "--d", "0.1", "--tol", "0"],
         ["solve", "--word", "01", "--a", "0.5", "--d", "0.1", "--tol", "nan"],
         ["solve", "--word", "01", "--a", "0.5", "--d", "0.1", "--tol", "inf"],
+        # no tolerance can be set: a loose one used to accept a state past
+        # the fold of 01 at 1/16
+        ["solve", "--word", "01", "--a", "0.5", "--d", "0.0628", "--tol", "1e-4"],
+        ["solve", "--word", "0", "--a", "0.5", "--d", "0.1"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)

@@ -3,9 +3,8 @@ import pytest
 import oracles
 from nagumo_atlas import counting, numtheory
 from nagumo_atlas.counting import (
-    COUNT_FIELDS,
     bracelets,
-    count_table,
+    count,
     lyndon_bracelets,
     lyndon_necklaces,
     necklaces,
@@ -15,13 +14,23 @@ from nagumo_atlas.counting import (
     permuted_necklaces,
     total_regions,
 )
-from nagumo_atlas.words import A2, A3
+from nagumo_atlas.words import A2, A3, GroupKind
 
 # the four headline columns of the published table, n = 2..10
 TOTALS_A3 = (3, 7, 16, 36, 80, 184, 437, 1061, 2689)
 APERIODIC_TWO_SIDED_A3 = (2, 4, 9, 20, 44, 104, 253, 624, 1628)
 TOTALS_A2 = (2, 3, 5, 8, 13, 21, 35, 56, 95)
 APERIODIC_TWO_SIDED_A2 = (1, 1, 2, 3, 5, 8, 14, 21, 39)
+
+# rows of the `count` table: N, B, Npi, Bpi, NL, BL, NLpi, BLpi, total
+TABLE_ROWS = {
+    (A2, 2): (3, 3, 2, 2, 1, 1, 1, 1, 2),
+    (A3, 2): (6, 6, 4, 4, 3, 3, 2, 2, 3),
+    (A2, 5): (8, 8, 4, 4, 6, 6, 3, 3, 8),
+    (A3, 5): (51, 39, 26, 22, 48, 36, 24, 20, 36),
+    (A2, 9): (60, 46, 30, 23, 56, 42, 28, 21, 56),
+    (A3, 9): (2195, 1219, 1098, 630, 2184, 1209, 1092, 624, 1061),
+}
 
 
 def test_necklaces_examples():
@@ -150,25 +159,20 @@ def test_size_orderings():
 
 
 def test_count_table_rows():
-    t5 = count_table(5)
-    assert t5.a3.permuted_lyndon_bracelets == 20
-    assert t5.a3.total_regions == 36
-    assert t5.a2.permuted_lyndon_bracelets == 3
-    assert t5.a2.total_regions == 8
-    t9 = count_table(9)
-    assert t9.a3.permuted_lyndon_bracelets == 624
-    assert t9.a3.total_regions == 1061
-    t2 = count_table(2)
-    assert t2.a3.total_regions == 3
-    assert t2.a2.total_regions == 2
+    for (alphabet, n), row in TABLE_ROWS.items():
+        counts = [count(alphabet, n, g, ap) for ap in (False, True) for g in GroupKind]
+        assert (*counts, total_regions(alphabet, n)) == row
 
 
 def test_count_table_fields_are_complete():
-    t = count_table(4)
-    for field in COUNT_FIELDS:
-        assert getattr(t.a2, field) is not None
-        assert getattr(t.a3, field) is not None
-    assert count_table(1).a2.total_regions is None
+    # every column has a count at every length; totals start at n = 2
+    for alphabet in (A2, A3):
+        for group in GroupKind:
+            for aperiodic in (False, True):
+                assert count(alphabet, 4, group, aperiodic) > 0
+                assert count(alphabet, 1, group, aperiodic) > 0
+    with pytest.raises(ValueError):
+        total_regions(A2, 1)
 
 
 def test_invalid_arguments_rejected():

@@ -6,18 +6,14 @@ import pytest
 
 from nagumo_atlas import gde
 from nagumo_atlas.gde import (
-    DivergedOutOfBox,
-    Equilibrium,
     NotInRegion,
     Params,
-    SolveError,
     StabilityMismatch,
     cubic,
     cubic_deriv,
     decoupled_state,
     jacobian,
     lde_residual_check,
-    newton_solve,
     residual,
     solve_type,
 )
@@ -112,47 +108,15 @@ def test_params_validation():
     assert Params(0.5, 0.0).d == 0.0
 
 
-def test_newton_tol_validation():
-    p = Params(0.5, 0.01)
-    for tol in (0.0, -1e-12, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            solve_type(w("01"), p, newton_tol=tol)
-    loose = solve_type(w("01"), p, newton_tol=1e-6)
-    assert loose.residual_norm <= 1e-6
-
-
-def test_newton_solve_homogeneous_word_is_exact():
-    p = Params(0.3, 0.2)
-    eq = newton_solve(np.zeros(3), p, word=w("000"))
-    assert np.all(eq.u == 0.0)
-    assert eq.residual_norm == 0.0
-    assert eq.stable
-
-
-def test_newton_solve_three_site_pattern():
-    p = Params(0.475, 0.025)
-    eq = newton_solve([0.0, 0.475, 1.0], p, word=w("0a1"))
-    assert eq.residual_norm <= 1e-12
-    assert eq.det_sign == 1
-    assert not eq.stable
-
-
-def test_newton_solve_beyond_fold_fails_or_mismatches():
-    with pytest.raises(SolveError):
-        newton_solve([0.0, 1.0], Params(0.5, 0.2), word=w("01"))
-
-
-def test_newton_solve_rejects_bad_guess():
-    with pytest.raises(ValueError):
-        newton_solve([0.2], Params(0.5, 0.1))
-    with pytest.raises(ValueError):
-        newton_solve([np.nan, 0.5], Params(0.5, 0.1))
-
-
 def test_newton_diverges_out_of_box():
-    # near the critical point of the cubic the Newton step is enormous
-    with pytest.raises(DivergedOutOfBox):
-        newton_solve([0.79, 0.79], Params(0.5, 0.0))
+    # near the critical point of the cubic the Newton step is enormous; the
+    # row stops unconverged outside the box while its neighbour converges
+    roots, converged = gde._newton_core(
+        np.array([[0.79, 0.79], [0.02, 0.97]]), np.array([0.5, 0.5]), np.zeros(2)
+    )
+    assert converged.tolist() == [False, True]
+    assert np.abs(roots[0] - 0.5).max() > 1.0
+    assert roots[1] == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
 def test_solve_type_zero_coupling_is_decoupled_state():
@@ -223,6 +187,7 @@ def test_solve_type_stability_matches_letters():
     assert solve_type(w("011"), p).stable
     assert solve_type(w("0011"), p).stable
     assert not solve_type(w("0a"), p).stable
+    assert not solve_type(w("0a1"), p).stable
     assert not solve_type(w("0a11"), p).stable
 
 
@@ -265,18 +230,15 @@ def test_lde_residual_of_periodic_extension():
         lde_residual_check(eq, window_periods=0)
 
 
-def test_equilibrium_without_word_skips_letter_check():
-    eq = newton_solve([0.5, 0.5], Params(0.5, 0.05))
-    assert isinstance(eq, Equilibrium)
-    assert eq.word is None
-
-
 def test_stability_mismatch_is_detected():
     # labelling the unstable constant middle state with a binary word must
     # raise while the determinant still has its zero-coupling sign (here
     # both signs are +1, so no crossing can excuse the disagreement)
+    p = Params(0.5, 0.01)
     with pytest.raises(StabilityMismatch):
-        newton_solve([0.5, 0.5], Params(0.5, 0.01), word=Word.parse("01"))
+        gde._build_equilibrium(w("01"), np.array([0.5, 0.5]), p, False)
     # and conversely for a stable state labelled with a middle-letter word
+    stable = solve_type(w("0101"), p)
+    assert stable.stable
     with pytest.raises(StabilityMismatch):
-        newton_solve([0.0, 1.0, 0.0, 1.0], Params(0.5, 0.01), word=Word.parse("0a1a"))
+        gde._build_equilibrium(w("0a1a"), stable.u, p, False)
