@@ -219,8 +219,10 @@ def _identities_ok(n: int) -> bool:
 
 
 def _cmd_verify(args, error) -> int:
-    if args.n_max < 1:
-        error(f"--n-max must be positive, got {args.n_max}")
+    # the sampled identity checks draw n from n_max + 1 .. sample_top - 1
+    sample_top = 10**6
+    if not 1 <= args.n_max <= sample_top - 2:
+        error(f"--n-max must lie in 1..{sample_top - 2}, got {args.n_max}")
     for flag, n_hi, alphabet in (
         ("--n-max-a2", args.n_max_a2, A2),
         ("--n-max-a3", args.n_max_a3, A3),
@@ -238,7 +240,7 @@ def _cmd_verify(args, error) -> int:
 
     systematic = list(range(1, args.n_max + 1))
     rng = random.Random(args.seed)
-    sampled = sorted(rng.randrange(args.n_max + 1, 10**6) for _ in range(25))
+    sampled = sorted(rng.randrange(args.n_max + 1, sample_top) for _ in range(25))
     bad = [n for n in systematic + sampled if not _identities_ok(n)]
     report(
         f"divisor-sum identities, n <= {args.n_max} plus 25 sampled "

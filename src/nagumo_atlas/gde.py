@@ -21,7 +21,9 @@ The Jacobian determinant may cross zero at an interior point of a
 perfectly healthy branch (a secondary bifurcation sits on it, which
 happens for the two-site pattern 01 at a = 1/2); the march steps across
 such crossings, and the det_sign recorded on the returned equilibrium is
-the sign at the requested d. And where a branch ends against a constant
+the sign at the requested d: -1 or 1, or 0 for a constant word whose d
+meets a zero eigenvalue f'(c) - d*mu_k of its state (aa at a = 1/2,
+d = 1/16), a state that exists. And where a branch ends against a constant
 pattern, the constant branch survives and Newton slides onto it; a nearly
 constant corrected state of a heterogeneous word is rejected as that
 capture. A constant word's branch is exact for every d, so it is never
@@ -35,7 +37,8 @@ branch reaches. The march moves a stack of branches in lockstep, one row
 per (word, a) ray, through one Newton correction per round, and each ray
 keeps its own step. Every row takes exactly the iterations it would take
 alone (batched LAPACK factors each matrix on its own), so a ray ends
-where it would end alone.
+where it would end alone. After the loop one batched slogdet measures
+det J at every ray's end, marched or constant, and nothing recomputes it.
 
 Stability is decided twice at every accepted equilibrium: from the
 letters (a word is stable iff it avoids the middle root a) and from the
@@ -76,10 +79,6 @@ _REGROW_AFTER = 2
 
 class SolveError(Exception):
     """Base class for solver failures."""
-
-
-class SingularJacobian(SolveError):
-    pass
 
 
 class StabilityMismatch(SolveError):
@@ -230,9 +229,9 @@ def _newton_core(
 
 
 def _build_equilibrium(
-    word: Word, u: np.ndarray, p: Params, det_flip_seen: bool
+    word: Word, u: np.ndarray, p: Params, sign: float, det_flip_seen: bool
 ) -> Equilibrium:
-    """Assemble an Equilibrium at state u, cross-checking stability.
+    """Assemble an Equilibrium at state u, where det J has sign; check stability.
 
     The stable flag always reports the spectrum. The letters predict it
     too (a word is stable iff it avoids the middle root), but only while
@@ -243,11 +242,7 @@ def _build_equilibrium(
     not belong to the claimed pattern, which is an error.
     """
     rmax = float(np.max(np.abs(residual(u, p))))
-    J = jacobian(u, p)
-    sign, logdet = np.linalg.slogdet(J)
-    if sign == 0.0 or not math.isfinite(logdet):
-        raise SingularJacobian("Jacobian determinant vanished")
-    eigs = np.linalg.eigvalsh(J)
+    eigs = np.linalg.eigvalsh(jacobian(u, p))
     eig_stable = bool(eigs[-1] < 0.0)
     if not det_flip_seen:
         word_stable = MID not in word.letters
@@ -288,11 +283,11 @@ def _attempt(
     a: np.ndarray,
     d_to: np.ndarray,
     capture: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One continuation step per row: correct u_from[k] at a[k], d_to[k].
 
-    Returns (accepted, corrected states, det signs, log|det J|), each
-    indexed by row; the last three are meaningful where accepted holds.
+    Returns (accepted, corrected states, det signs), each indexed by row;
+    the last two are meaningful where accepted holds.
     Rejections: Newton failure, a corrected point jumping further than
     _MAX_CORRECTOR_JUMP from its predictor (a hop onto a distant sibling
     branch), an exactly singular Jacobian, and homogeneous capture. The
@@ -307,12 +302,8 @@ def _attempt(
     ok = ok[~(np.abs(u_new[ok] - u_from[ok]).max(axis=1) > _MAX_CORRECTOR_JUMP)]
     ok = ok[~(np.ptp(u_new[ok], axis=1) < capture[ok])]
     sign = np.zeros(len(u_new))
-    logdet = np.full(len(u_new), -np.inf)
-    sign[ok], logdet[ok] = np.linalg.slogdet(_jacobians(u_new[ok], a[ok], d_to[ok]))
-    ok = ok[(sign[ok] != 0.0) & np.isfinite(logdet[ok])]
-    accepted = np.zeros(len(u_new), bool)
-    accepted[ok] = True
-    return accepted, u_new, sign, logdet
+    sign[ok] = np.linalg.slogdet(_jacobians(u_new[ok], a[ok], d_to[ok]))[0]
+    return sign != 0.0, u_new, sign
 
 
 class _Branches(NamedTuple):
@@ -320,6 +311,7 @@ class _Branches(NamedTuple):
 
     d: np.ndarray  # last accepted d
     u: np.ndarray  # (B, n) states there
+    sign: np.ndarray  # sign of det J there
     logdet: np.ndarray  # log|det J| there
     logdet0: np.ndarray  # log|det J| at d = 0
     flipped: np.ndarray  # whether det J changed sign between accepted steps
@@ -331,20 +323,12 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
     A ray ends when it reaches d_cap or when its step falls below
     _D_STEP_MIN, always correcting from its last accepted state. A
     constant word's branch is exact, so its ray ends at d_cap without an
-    attempt. The words share a length.
+    attempt. Each ray's end is measured once, by one slogdet over the
+    batch. The words share a length.
     """
     u, sign, logdet0, capture = _start(words, a)
-    d_ok = np.zeros(len(words))
-    logdet_ok = logdet0.copy()
+    d_ok = np.where(capture == 0.0, d_cap, 0.0)
     flipped = np.zeros(len(words), bool)
-    constant = np.flatnonzero(capture == 0.0)
-    if constant.size:
-        d_ok[constant] = d_cap
-        top = np.full(constant.size, d_cap)
-        sign_top, logdet_ok[constant] = np.linalg.slogdet(
-            _jacobians(u[constant], a[constant], top)
-        )
-        flipped[constant] = sign_top != sign[constant]
     step = np.full(len(words), _D_STEP_INIT)
     streak = np.zeros(len(words), int)
 
@@ -353,14 +337,11 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
         if not live.size:
             break
         d_try = np.minimum(d_ok[live] + step[live], d_cap)
-        accepted, u_new, sign_new, logdet = _attempt(
-            u[live], a[live], d_try, capture[live]
-        )
+        accepted, u_new, sign_new = _attempt(u[live], a[live], d_try, capture[live])
         won, lost = live[accepted], live[~accepted]
         u[won] = u_new[accepted]
         flipped[won] |= sign_new[accepted] != sign[won]
         sign[won] = sign_new[accepted]
-        logdet_ok[won] = logdet[accepted]
         d_ok[won] = d_try[accepted]
         streak[won] += 1
         streak[lost] = 0
@@ -368,7 +349,9 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
         step[grow] = np.minimum(2.0 * step[grow], _D_STEP_INIT)
         streak[grow] = 0
         step[lost] *= 0.5
-    return _Branches(d_ok, u, logdet_ok, logdet0, flipped)
+    sign_end, logdet = np.linalg.slogdet(_jacobians(u, a, d_ok))
+    flipped |= sign_end != sign
+    return _Branches(d_ok, u, sign_end, logdet, logdet0, flipped)
 
 
 def solve_type(word: Word, p: Params) -> Equilibrium:
@@ -383,7 +366,7 @@ def solve_type(word: Word, p: Params) -> Equilibrium:
     end = _march([word], np.array([p.a]), p.d)
     if end.d[0] < p.d:
         raise NotInRegion(word, p, d_reached=float(end.d[0]))
-    return _build_equilibrium(word, end.u[0], p, det_flip_seen=bool(end.flipped[0]))
+    return _build_equilibrium(word, end.u[0], p, end.sign[0], bool(end.flipped[0]))
 
 
 def lde_residual_check(eq: Equilibrium, window_periods: int = 3) -> float:

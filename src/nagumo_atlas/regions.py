@@ -5,9 +5,10 @@ segment {a} x [0, d_max(a)) for every threshold a it exists at when
 decoupled. d_max() measures that height by continuation from d = 0 with
 the march that gde.solve_type also runs (gde._march, which describes the
 step control): the height is the last d the march accepts before its
-step falls below the floor. solve_type stops by the same rule, so
-membership() and d_max() agree about whether a pattern exists at a
-point, and solve_type's NotInRegion.d_reached is d_max.
+step falls below the floor. solve_type marches by the same rule up to
+the requested d. Solving to d_max's cap takes d_max's steps, so
+NotInRegion.d_reached is then d_max; a lower cap clips a step and
+changes the rest, so membership() may hold just past d_max.
 
 A batch of (word, a) rays, whose words share a length, is marched in
 lockstep, and a ray ends exactly where it would end alone. d_max is a
@@ -97,10 +98,10 @@ def _march(rays: Sequence[tuple[Word, float]], d_cap: float) -> list[BoundarySam
 def d_max(word: Word, a: float, d_cap: float = DEFAULT_D_CAP) -> tuple[float, Terminal]:
     """Height of the existence region of the pattern above threshold a.
 
-    Returns (d_max, terminal). At a fold the height is the last d the
-    march accepts before its step falls below the floor, not the fold
-    itself: against the analytic folds (01 at a = 1/2 folds at 1/16, 0a
-    at a(1-a)/4) it falls short by 6e-8 to 1.5e-7.
+    Returns (d_max, terminal). The height is the last d the march accepts
+    before its step falls below the floor, not the branch's end itself: at
+    the branch points on the constant-a state (01 at a = 1/2 at d = 1/16,
+    0a at a(1-a)/4; tagged FOLD) it falls short by 6e-8 to 1.5e-7.
     """
     (sample,) = _march([(word, a)], d_cap)
     return sample.d_max, sample.terminal

@@ -37,8 +37,9 @@ _CHAR_OF = {ZERO: "0", MID: "a", ONE: "1"}
 _LETTER_OF = {"0": ZERO, "a": MID, "1": ONE}
 _SWAP = {ZERO: ONE, MID: MID, ONE: ZERO}
 
-# Refuse to enumerate beyond ~2^30 words.
-_ENUMERATION_BITS = 30
+# Refuse to enumerate beyond ~2^23 words: the sweep's seen set takes about
+# 190-270 bytes a word, so the largest accepted sweep peaks near 2 GiB.
+_ENUMERATION_BITS = 23
 
 
 def _check_alphabet(alphabet: str) -> None:
@@ -173,7 +174,7 @@ class OrbitClass:
 
 
 def enumeration_limit(alphabet: str) -> int:
-    """Longest word length enumerate_orbits accepts: k^n stays within 2^30."""
+    """Longest word length enumerate_orbits accepts: k^n stays within 2^23."""
     _check_alphabet(alphabet)
     return int(_ENUMERATION_BITS / math.log2(len(_ALPHABET_LETTERS[alphabet])))
 
@@ -195,8 +196,8 @@ def enumerate_orbits(
     the group actions preserve primitive period, so those classes are a
     sub-partition. Classes come back sorted by representative.
 
-    The sweep walks k^n words, so lengths beyond enumeration_limit(alphabet)
-    are refused.
+    The sweep's seen set keeps all k^n words, so lengths beyond
+    enumeration_limit(alphabet), where it would pass about 2 GiB, are refused.
     """
     if n < 1:
         raise ValueError(f"word length must be positive, got {n}")

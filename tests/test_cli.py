@@ -198,6 +198,17 @@ def test_solve_beyond_fold_exits_1(capsys):
     assert "solve failed" in captured.err
 
 
+def test_solve_constant_word_at_a_zero_eigenvalue(capsys):
+    # aa at a = 1/2 has the eigenvalue f'(1/2) - 4d = 0 at d = 1/16; the
+    # state exists, and its determinant sign is 0
+    code, out = run_cli(capsys, "solve", "--word", "aa", "--a", "0.5", "--d", "0.0625")
+    assert code == 0
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    assert fields["u"] == "0.5 0.5"
+    assert fields["det_sign"] == "0"
+    assert fields["stable"] == "False"
+
+
 def test_solve_usage_errors_exit_2(capsys):
     for argv in (
         ["solve", "--word", "0b1", "--a", "0.5", "--d", "0.1"],
@@ -295,9 +306,11 @@ def test_verify_usage_errors_exit_2(capsys, monkeypatch):
         ["verify", "--n-max-a2", "-3", "--n-max-a3", "0", "--n-max", "5"],
         ["verify", "--n-max-a2", "0"],
         ["verify", "--n-max-a3", "0"],
-        ["verify", "--n-max-a2", "31"],
-        ["verify", "--n-max-a3", "19"],
+        ["verify", "--n-max-a2", "24"],
+        ["verify", "--n-max-a3", "15"],
         ["verify", "--n-max", "0"],
+        # the sampled identity checks need some n above --n-max below 10^6
+        ["verify", "--identities-only", "--n-max", "999999"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
@@ -308,8 +321,8 @@ def test_verify_usage_errors_exit_2(capsys, monkeypatch):
 def test_verify_largest_enumeration_bounds_are_accepted(capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "enumerate_orbits", lambda n, *rest: seen.append(n) or [])
-    cli.main(["verify", "--n-max-a2", "30", "--n-max-a3", "18", "--n-max", "5"])
-    assert max(seen) == 30 and 18 in seen
+    cli.main(["verify", "--n-max-a2", "23", "--n-max-a3", "14", "--n-max", "5"])
+    assert max(seen) == 23 and 14 in seen
 
 
 def test_verify_seed_changes_sample_note_not_result(capsys):

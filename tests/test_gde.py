@@ -17,6 +17,7 @@ from nagumo_atlas.gde import (
     residual,
     solve_type,
 )
+from nagumo_atlas.regions import Terminal, d_max, membership
 from nagumo_atlas.words import Word, permute_values, reflect, rotate
 
 
@@ -221,6 +222,34 @@ def test_solve_type_det_sign_matches_zero_coupling_at_small_d():
         assert eq.det_sign == eq0.det_sign
 
 
+def test_constant_state_at_a_zero_eigenvalue_is_returned():
+    # the eigenvalues of aa's constant state are f'(a) and f'(a) - 4d, and
+    # f'(1/2) = 1/4, so det J is exactly 0 at d = 1/16; the state exists
+    eq = solve_type(w("aa"), Params(0.5, 0.0625))
+    assert np.array_equal(eq.u, [0.5, 0.5])
+    assert eq.det_sign == 0
+    assert not eq.stable
+    assert membership(w("aa"), Params(0.5, 0.0625))
+    assert d_max(w("aa"), 0.5) == (0.5, Terminal.DMAX_CAP)
+
+
+def test_det_sign_matches_an_independent_determinant():
+    # the march takes det J once, at the end of the ray; a determinant of
+    # the returned state's Jacobian must carry the same sign
+    rng = random.Random(1109)
+    solved = []
+    while len(solved) < 60:
+        word = Word(tuple(rng.choice((0, 1, 2)) for _ in range(rng.randint(2, 8))))
+        p = Params(rng.uniform(0.05, 0.95), rng.uniform(0.0, 0.06))
+        try:
+            solved.append(solve_type(word, p))
+        except NotInRegion:
+            pass
+    for eq in solved:
+        assert eq.det_sign == np.linalg.slogdet(jacobian(eq.u, eq.params))[0]
+    assert {eq.det_sign for eq in solved} == {-1, 1}
+
+
 def test_lde_residual_of_periodic_extension():
     p = Params(0.475, 0.025)
     eq = solve_type(w("0a1"), p)
@@ -236,9 +265,9 @@ def test_stability_mismatch_is_detected():
     # both signs are +1, so no crossing can excuse the disagreement)
     p = Params(0.5, 0.01)
     with pytest.raises(StabilityMismatch):
-        gde._build_equilibrium(w("01"), np.array([0.5, 0.5]), p, False)
+        gde._build_equilibrium(w("01"), np.array([0.5, 0.5]), p, 1.0, False)
     # and conversely for a stable state labelled with a middle-letter word
     stable = solve_type(w("0101"), p)
     assert stable.stable
     with pytest.raises(StabilityMismatch):
-        gde._build_equilibrium(w("0a1a"), stable.u, p, False)
+        gde._build_equilibrium(w("0a1a"), stable.u, p, 1.0, False)
