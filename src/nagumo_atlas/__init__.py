@@ -5,7 +5,7 @@ Layers, lowest first:
 
 * numtheory - exact Moebius/totient/divisor helpers.
 * words     - words over {0,1} / {0,a,1}, symmetry groups, orbit enumeration.
-* counting  - closed-form class counts (necklace/bracelet families).
+* counting  - class counts by one fixed-point average over each group.
 * gde       - stationary states by branch continuation in the diffusion
               parameter, each step corrected by Newton.
 * regions   - existence-region probing: how far in d a pattern survives.

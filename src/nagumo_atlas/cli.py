@@ -79,35 +79,29 @@ def _cmd_count(args, error) -> int:
         error(f"--n-max must lie in 1..{_N_MAX_LIMIT}, got {args.n_max}")
     if args.table1 and args.alphabet is not None:
         error("--table1 already fixes the columns; drop --alphabet")
-    if args.table1:
-        header = ["n", "total_a3", "BLpi_a3", "total_a2", "BLpi_a2"]
-        rows = []
-        for n in range(2, args.n_max + 1):
-            row: list = [n]
-            for alphabet in (A3, A2):
-                row += [
-                    counting.total_regions(alphabet, n),
-                    counting.count(alphabet, n, GroupKind.DIHEDRAL_PI, True),
-                ]
-            rows.append(row)
-    else:
-        # N, B, Npi, Bpi, then their aperiodic variants NL, BL, NLpi, BLpi
-        columns = [(group, aperiodic) for aperiodic in (False, True) for group in GroupKind]
-        blocks = [A2, A3] if args.alphabet is None else [args.alphabet]
-        header = ["n"]
+    # N, B, Npi, Bpi, then their aperiodic variants NL, BL, NLpi, BLpi
+    columns = [(group, aperiodic) for aperiodic in (False, True) for group in GroupKind]
+    blocks = [A2, A3] if args.alphabet is None else [args.alphabet]
+    header = ["n"]
+    for alphabet in blocks:
+        header += [f"{_count_label(g, ap)}_{alphabet}" for g, ap in columns]
+    header += [f"total_{alphabet}" for alphabet in blocks]
+    rows = []
+    for n in range(1, args.n_max + 1):
+        row: list = [n]
         for alphabet in blocks:
-            header += [f"{_count_label(g, ap)}_{alphabet}" for g, ap in columns]
-        header += [f"total_{alphabet}" for alphabet in blocks]
-        rows = []
-        for n in range(1, args.n_max + 1):
-            row: list = [n]
-            for alphabet in blocks:
-                row += [counting.count(alphabet, n, g, ap) for g, ap in columns]
-            row += [
-                counting.total_regions(alphabet, n) if n >= 2 else ""
-                for alphabet in blocks
-            ]
-            rows.append(row)
+            row += [counting.count(alphabet, n, g, ap) for g, ap in columns]
+        row += [
+            counting.total_regions(alphabet, n) if n >= 2 else ""
+            for alphabet in blocks
+        ]
+        rows.append(row)
+    if args.table1:
+        table1 = ("n", "total_a3", "BLpi_a3", "total_a2", "BLpi_a2")
+        picked = [header.index(name) for name in table1]
+        header = [header[i] for i in picked]
+        # totals start at n = 2
+        rows = [[row[i] for i in picked] for row in rows[1:]]
     _write_csv(rows, header, args.out)
     return 0
 

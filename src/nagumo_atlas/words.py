@@ -124,12 +124,8 @@ def permute_values(w: Word) -> Word:
     return Word(tuple(_SWAP[x] for x in w.letters), w.alphabet)
 
 
-def primitive_period(w: Word) -> int:
-    """Smallest m dividing len(w) with w equal to its length-m prefix repeated."""
-    return _primitive_period(w.letters)
-
-
 def _primitive_period(t: tuple[int, ...]) -> int:
+    """Smallest m dividing len(t) with t equal to its length-m prefix repeated."""
     n = len(t)
     for m in divisors(n):
         if t[:m] * (n // m) == t:

@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nagumo_atlas import counting, numtheory
@@ -132,6 +136,38 @@ def test_aperiodic_formulas_match_enumeration_oracle(alphabet, k):
         assert permuted_lyndon_bracelets(alphabet, n) == oracles.class_count(
             n, k, True, True, aperiodic_only=True
         )
+
+
+@lru_cache(maxsize=None)
+def _oracle(n, k, reflects, twisted, aperiodic):
+    """oracles.orbit_count, or for aperiodic words that count minus the
+    aperiodic counts of the proper divisors of n (no Moebius function)."""
+    full = oracles.orbit_count(n, k, reflects, twisted)
+    if not aperiodic:
+        return full
+    return full - sum(
+        _oracle(d, k, reflects, twisted, True) for d in range(1, n) if n % d == 0
+    )
+
+
+def test_count_matches_fixed_point_oracle_through_64():
+    for alphabet, k in ((A2, 2), (A3, 3)):
+        for group in GroupKind:
+            for aperiodic in (False, True):
+                for n in range(1, 65):
+                    want = _oracle(n, k, group.reflects, group.swaps_values, aperiodic)
+                    assert count(alphabet, n, group, aperiodic) == want, (
+                        alphabet, n, group, aperiodic,
+                    )
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=40))
+def test_k_letter_formulas_match_fixed_point_oracle(k, n):
+    assert necklaces(k, n) == _oracle(n, k, False, False, False)
+    assert bracelets(k, n) == _oracle(n, k, True, False, False)
+    assert lyndon_necklaces(k, n) == _oracle(n, k, False, False, True)
+    assert lyndon_bracelets(k, n) == _oracle(n, k, True, False, True)
 
 
 def test_aperiodic_divisor_sums_recover_full_counts():

@@ -14,7 +14,6 @@ from nagumo_atlas.words import (
     enumerate_orbits,
     orbit,
     permute_values,
-    primitive_period,
     reflect,
     representatives,
     rotate,
@@ -26,6 +25,10 @@ LETTERS = {A2: "01", A3: "0a1"}
 
 def w(text, alphabet=A3):
     return Word.parse(text, alphabet)
+
+
+def primitive_period(word):
+    return words._primitive_period(word.letters)
 
 
 def test_parse_roundtrip():
