@@ -23,11 +23,9 @@ happens for the two-site pattern 01 at a = 1/2); the march steps across
 such crossings, and the det_sign recorded on the returned equilibrium is
 the sign at the requested d: -1 or 1, or 0 for a constant word whose d
 meets a zero eigenvalue f'(c) - d*mu_k of its state (aa at a = 1/2,
-d = 1/16), a state that exists. And where a branch ends against a constant
-pattern, the constant branch survives and Newton slides onto it; a nearly
-constant corrected state of a heterogeneous word is rejected as that
-capture. A constant word's branch is exact for every d, so it is never
-marched.
+d = 1/16), a state that exists. And no Newton iterate may stray far from
+its step's start or draw together onto a surviving constant state
+(_newton_core). A constant word's branch is exact, so it is never marched.
 
 One march (_march) serves solve_type, a batch of one capped at the
 requested d, and every height measurement of the regions module, so all
@@ -37,8 +35,8 @@ branch reaches. The march moves a stack of branches in lockstep, one row
 per (word, a) ray, through one Newton correction per round, and each ray
 keeps its own step. Every row takes exactly the iterations it would take
 alone (batched LAPACK factors each matrix on its own), so a ray ends
-where it would end alone. After the loop one batched slogdet measures
-det J at every ray's end, marched or constant, and nothing recomputes it.
+where it would end alone. Each attempt takes one batched slogdet for the
+signs of its rows, and after the loop one more measures every ray's end.
 
 Stability is decided twice at every accepted equilibrium: from the
 letters (a word is stable iff it avoids the middle root a) and from the
@@ -57,13 +55,12 @@ import numpy as np
 
 from .words import MID, ONE, ZERO, Word
 
-# reject a continuation step whose corrected point jumps this far from the
-# predictor; catches silent hops onto a sibling branch near a fold
+# a Newton iterate further than this from the state its step started from
+# ends the step; near a fold the corrector would wander onto a sibling branch
 _MAX_CORRECTOR_JUMP = 0.25
-# a heterogeneous word's corrected state whose sites have spread closer than
-# this (or than half their d = 0 spread, for small thresholds) is the
-# corrector gliding onto a homogeneous survivor of the branch's end; biases
-# a measurement against a constant state by at most (spread/4)^2 ~ 1e-7 in d
+# a heterogeneous word's Newton iterate spread closer than this (or than half
+# its d = 0 spread, for small thresholds) is sliding onto a constant state;
+# this stops such a ray early, by as much as regions.d_max states
 _HOMOG_SPREAD = 1e-3
 # Newton's residual max-norm tolerance. Near a fold the residual is flat in
 # u, so a much looser one accepts points on no branch, past the fold
@@ -200,32 +197,38 @@ def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _newton_core(
-    u: np.ndarray, a: np.ndarray, d: np.ndarray
+    u: np.ndarray, a: np.ndarray, d: np.ndarray, capture: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration from each row of the (B, n) stack u at a[k], d[k].
 
     Returns (roots, converged): where converged[k] holds, the residual
     max-norm of roots[k] is within _NEWTON_TOL. A row stops unconverged
-    after _MAX_NEWTON_ITERS iterations, at a singular Jacobian, or when an
-    iterate leaves [-0.5, 1.5]^n, outside every basin of interest. A row
-    leaves the iteration as soon as it converges or fails, so it takes
-    exactly the steps it would take alone.
+    at a singular Jacobian, at an iterate further than _MAX_CORRECTOR_JUMP
+    from u[k] (a hop towards a sibling branch) or spread less than
+    capture[k] (a slide onto the constant state that survives where a
+    branch ends against it, "converging" forever after), and after
+    _MAX_NEWTON_ITERS updates. A row leaves the iteration as soon as it
+    converges or stops, so it takes exactly the steps it would take alone.
     """
-    u = u.copy()
-    converged = np.zeros(len(u), bool)
-    live = np.arange(len(u))
+    roots, converged = np.empty_like(u), np.zeros(len(u), bool)
+    rows, start, stop = np.arange(len(u)), u, np.zeros(len(u), bool)
     for it in range(_MAX_NEWTON_ITERS + 1):
-        r = _residuals(u[live], a[live], d[live])
-        done = np.abs(r).max(axis=1) <= _NEWTON_TOL
-        converged[live[done]] = True
-        live, r = live[~done], r[~done]
-        if it == _MAX_NEWTON_ITERS or not live.size:
+        r = _residuals(u, a, d)
+        done = (np.abs(r).max(axis=1) <= _NEWTON_TOL) & ~stop
+        converged[rows[done]] = True
+        out = done | stop | (it == _MAX_NEWTON_ITERS)
+        if out.any():
+            roots[rows[out]] = u[out]
+            u, start, a, d, capture, rows, r = (
+                x[~out] for x in (u, start, a, d, capture, rows, r)
+            )
+        if not rows.size:
             break
-        du, singular = _solve_rows(_jacobians(u[live], a[live], d[live]), -r)
-        u[live] += du
-        out = np.abs(u[live] - 0.5).max(axis=1) > 1.0
-        live = live[~(singular | out)]
-    return u, converged
+        du, singular = _solve_rows(_jacobians(u, a, d), -r)
+        u = u + du
+        stop = singular | (np.abs(u - start).max(axis=1) > _MAX_CORRECTOR_JUMP)
+        stop |= np.ptp(u, axis=1) < capture
+    return roots, converged
 
 
 def _build_equilibrium(
@@ -268,8 +271,8 @@ def _start(
     """Where the branches of the words at thresholds a begin.
 
     Returns the (B, n) stack of exact d = 0 states with the sign and
-    log|det J| there, and the capture spread that _attempt takes for each
-    branch: min(_HOMOG_SPREAD, half the d = 0 spread), which is 0 for a
+    log|det J| there, and each branch's capture spread for _newton_core:
+    min(_HOMOG_SPREAD, half the d = 0 spread), which is 0 for a
     constant word, whose branch really is the constant one.
     """
     u = np.array([decoupled_state(w, x) for w, x in zip(words, a)])
@@ -287,20 +290,12 @@ def _attempt(
     """One continuation step per row: correct u_from[k] at a[k], d_to[k].
 
     Returns (accepted, corrected states, det signs), each indexed by row;
-    the last two are meaningful where accepted holds.
-    Rejections: Newton failure, a corrected point jumping further than
-    _MAX_CORRECTOR_JUMP from its predictor (a hop onto a distant sibling
-    branch), an exactly singular Jacobian, and homogeneous capture. The
-    last one needs explaining: where a branch ends against a constant
-    pattern the constant branch survives, so plain Newton correction
-    slides onto it and "converges" forever after. A corrected state whose
-    spread is below the row's capture[k] (see _start) is that slide, not
-    the tracked branch.
+    the last two are meaningful where accepted holds. A step is rejected
+    where _newton_core stops its row or det J there is exactly singular;
+    the sign comes from one batched slogdet per attempt.
     """
-    u_new, converged = _newton_core(u_from, a, d_to)
+    u_new, converged = _newton_core(u_from, a, d_to, capture)
     ok = np.flatnonzero(converged)
-    ok = ok[~(np.abs(u_new[ok] - u_from[ok]).max(axis=1) > _MAX_CORRECTOR_JUMP)]
-    ok = ok[~(np.ptp(u_new[ok], axis=1) < capture[ok])]
     sign = np.zeros(len(u_new))
     sign[ok] = np.linalg.slogdet(_jacobians(u_new[ok], a[ok], d_to[ok]))[0]
     return sign != 0.0, u_new, sign

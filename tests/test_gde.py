@@ -109,15 +109,47 @@ def test_params_validation():
     assert Params(0.5, 0.0).d == 0.0
 
 
-def test_newton_diverges_out_of_box():
+def test_newton_stops_a_row_that_jumps_from_its_start():
     # near the critical point of the cubic the Newton step is enormous; the
-    # row stops unconverged outside the box while its neighbour converges
+    # row stops unconverged far from its start while its neighbour converges
     roots, converged = gde._newton_core(
-        np.array([[0.79, 0.79], [0.02, 0.97]]), np.array([0.5, 0.5]), np.zeros(2)
+        np.array([[0.79, 0.79], [0.02, 0.97]]),
+        np.array([0.5, 0.5]),
+        np.zeros(2),
+        np.zeros(2),
     )
     assert converged.tolist() == [False, True]
     assert np.abs(roots[0] - 0.5).max() > 1.0
     assert roots[1] == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def test_newton_stops_a_row_that_strays_towards_a_sibling_branch(monkeypatch):
+    # a 01 step at a = 0.49 just past the last accepted state below its fold
+    # at 0.0372446: the iterates pass 0.25 from the start, and left to run
+    # they converge onto another branch
+    start = np.array([[0.23484711597266725, 0.8504047963355621]])
+    a, d = np.array([0.49]), np.array([0.03724609375000002])
+    _, converged = gde._newton_core(start, a, d, np.array([1e-3]))
+    assert not converged[0]
+    monkeypatch.setattr(gde, "_MAX_CORRECTOR_JUMP", np.inf)
+    roots, converged = gde._newton_core(start, a, d, np.array([1e-3]))
+    assert converged[0]
+    assert roots[0] == pytest.approx([0.1296, 0.6755], abs=1e-4)
+
+
+def test_newton_stops_a_row_sliding_onto_the_constant_state():
+    # 0a at a = 0.1 ends against the constant-a state at a(1-a)/4; a step
+    # just past it converges onto that state unless the capture spread stops it
+    a = 0.1
+    end = a * (1.0 - a) / 4.0
+    start = solve_type(w("0a"), Params(a, end - 1e-4)).u[None]
+    rows = (start, np.array([a]), np.array([end + 1e-5]))
+    roots, converged = gde._newton_core(*rows, np.zeros(1))
+    assert converged[0]
+    assert roots[0] == pytest.approx([a, a], abs=1e-8)
+    roots, converged = gde._newton_core(*rows, np.array([1e-3]))
+    assert not converged[0]
+    assert np.ptp(roots[0]) < 1e-3
 
 
 def test_solve_type_zero_coupling_is_decoupled_state():
