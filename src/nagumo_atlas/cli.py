@@ -17,6 +17,7 @@ separator, LF line endings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import random
@@ -33,35 +34,29 @@ _GROUP_TOKEN = re.compile(r"^(c|d)(\d+)?(pi)?$")
 _N_MAX_LIMIT = 64
 
 
-def _parse_group(token: str, n: int, error) -> GroupKind:
+def _parse_group(token: str, n: int) -> GroupKind:
     """Turn a token like c3, d6pi, cpi into a GroupKind; the embedded
     length, when present, must match the word length."""
     m = _GROUP_TOKEN.match(token.lower())
     if m is None:
-        error(f"bad group token {token!r}; expected forms like c3, d3, c3pi, d3pi")
+        raise ValueError(
+            f"bad group token {token!r}; expected forms like c3, d3, c3pi, d3pi"
+        )
     letter, digits, pi = m.groups()
     if digits is not None and int(digits) != n:
-        error(f"group token {token!r} names length {digits}, but -n is {n}")
+        raise ValueError(f"group token {token!r} names length {digits}, but -n is {n}")
     if letter == "c":
         return GroupKind.CYCLIC_PI if pi else GroupKind.CYCLIC
     return GroupKind.DIHEDRAL_PI if pi else GroupKind.DIHEDRAL
 
 
-def _open_out(path: Optional[str]):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 def _write_csv(rows: list[list], header: list[str], path: Optional[str]) -> None:
-    stream, owned = _open_out(path)
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if owned:
-            stream.close()
+    if path is None:
+        out = contextlib.nullcontext(sys.stdout)
+    else:
+        out = open(path, "w", encoding="utf-8", newline="")
+    with out as stream:
+        csv.writer(stream, lineterminator="\n").writerows([header, *rows])
 
 
 def _count_label(group: GroupKind, aperiodic: bool) -> str:
@@ -74,11 +69,11 @@ def _count_label(group: GroupKind, aperiodic: bool) -> str:
     )
 
 
-def _cmd_count(args, error) -> int:
+def _cmd_count(args) -> int:
     if not (1 <= args.n_max <= _N_MAX_LIMIT):
-        error(f"--n-max must lie in 1..{_N_MAX_LIMIT}, got {args.n_max}")
+        raise ValueError(f"--n-max must lie in 1..{_N_MAX_LIMIT}, got {args.n_max}")
     if args.table1 and args.alphabet is not None:
-        error("--table1 already fixes the columns; drop --alphabet")
+        raise ValueError("--table1 already fixes the columns; drop --alphabet")
     # N, B, Npi, Bpi, then their aperiodic variants NL, BL, NLpi, BLpi
     columns = [(group, aperiodic) for aperiodic in (False, True) for group in GroupKind]
     blocks = [A2, A3] if args.alphabet is None else [args.alphabet]
@@ -106,15 +101,9 @@ def _cmd_count(args, error) -> int:
     return 0
 
 
-def _cmd_orbits(args, error) -> int:
-    group = _parse_group(args.group, args.n, error)
-    try:
-        classes = enumerate_orbits(
-            args.n, args.alphabet, group, lyndon_only=args.lyndon
-        )
-    except ValueError as exc:
-        error(str(exc))
-    for c in classes:
+def _cmd_orbits(args) -> int:
+    group = _parse_group(args.group, args.n)
+    for c in enumerate_orbits(args.n, args.alphabet, group, lyndon_only=args.lyndon):
         line = f"{c.representative} {c.size}"
         if args.full:
             members = sorted(c.members, key=lambda w: w.letters)
@@ -123,19 +112,11 @@ def _cmd_orbits(args, error) -> int:
     return 0
 
 
-def _cmd_solve(args, error) -> int:
-    try:
-        word = Word.parse(args.word)
-    except ValueError as exc:
-        error(str(exc))
-    try:
-        p = Params(args.a, args.d)
-    except ValueError as exc:
-        error(str(exc))
+def _cmd_solve(args) -> int:
+    word = Word.parse(args.word)
+    p = Params(args.a, args.d)
     try:
         eq = solve_type(word, p)
-    except ValueError as exc:
-        error(str(exc))
     except SolveError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -158,28 +139,20 @@ def _cmd_solve(args, error) -> int:
     return 0
 
 
-def _cmd_region(args, error) -> int:
-    try:
-        word = Word.parse(args.word)
-        compare = Word.parse(args.compare) if args.compare else None
-    except ValueError as exc:
-        error(str(exc))
+def _cmd_region(args) -> int:
+    word = Word.parse(args.word)
+    compare = Word.parse(args.compare) if args.compare else None
     if args.a_count < 1:
-        error(f"--a-count must be at least 1, got {args.a_count}")
+        raise ValueError(f"--a-count must be at least 1, got {args.a_count}")
     if args.a_count == 1:
         grid = [args.a_min]
     else:
         width = (args.a_max - args.a_min) / (args.a_count - 1)
         grid = [args.a_min + i * width for i in range(args.a_count)]
-    try:
-        base = regions.scan_region(word, grid, d_cap=args.d_cap)
-        other = (
-            regions.scan_region(compare, grid, d_cap=args.d_cap)
-            if compare is not None
-            else None
-        )
-    except ValueError as exc:
-        error(str(exc))
+    base = regions.scan_region(word, grid, d_cap=args.d_cap)
+    other = None
+    if compare is not None:
+        other = regions.scan_region(compare, grid, d_cap=args.d_cap)
     header = ["word", "a", "d_max", "terminal"]
     if other is not None:
         header += ["word_b", "d_max_b", "terminal_b", "abs_dev"]
@@ -212,18 +185,18 @@ def _identities_ok(n: int) -> bool:
     return sum(numtheory.mobius(d) for d in divs) == (1 if n == 1 else 0)
 
 
-def _cmd_verify(args, error) -> int:
+def _cmd_verify(args) -> int:
     # the sampled identity checks draw n from n_max + 1 .. sample_top - 1
     sample_top = 10**6
     if not 1 <= args.n_max <= sample_top - 2:
-        error(f"--n-max must lie in 1..{sample_top - 2}, got {args.n_max}")
+        raise ValueError(f"--n-max must lie in 1..{sample_top - 2}, got {args.n_max}")
     for flag, n_hi, alphabet in (
         ("--n-max-a2", args.n_max_a2, A2),
         ("--n-max-a3", args.n_max_a3, A3),
     ):
         limit = enumeration_limit(alphabet)
         if not 1 <= n_hi <= limit:
-            error(f"{flag} must lie in 1..{limit}, got {n_hi}")
+            raise ValueError(f"{flag} must lie in 1..{limit}, got {n_hi}")
     failures = 0
 
     def report(label: str, ok: bool) -> None:
@@ -357,7 +330,10 @@ _HANDLERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _HANDLERS[args.command](args, parser.error)
+    try:
+        return _HANDLERS[args.command](args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def run() -> None:

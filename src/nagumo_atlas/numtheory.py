@@ -60,18 +60,10 @@ def euler_phi(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in ascending order."""
-    _check_positive(n)
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
+    out = [1]
+    for p, e in _factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def convolution_identity_check(n: int) -> tuple[int, int, int]:

@@ -165,6 +165,8 @@ def verify_region_symmetries(
     """Check that region height is blind to rotation and reflection of the
     word, and maps a -> 1-a under the value swap."""
     grid = [float(a) for a in a_grid]
+    if not grid:
+        raise ValueError("the threshold grid is empty")
     rays = [(w, a) for w in (word, rotate(word), reflect(word)) for a in grid]
     rays += [(permute_values(word), 1.0 - a) for a in grid]
     heights = [s.d_max for s in _march(rays, d_cap)]

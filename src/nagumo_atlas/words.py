@@ -55,6 +55,10 @@ class GroupKind(Enum):
     CYCLIC_PI = "cpi"
     DIHEDRAL_PI = "dpi"
 
+    # members are singletons compared by identity; Enum.__hash__ is a Python
+    # call, which every hit on the counting caches keyed by GroupKind pays for
+    __hash__ = object.__hash__
+
     @property
     def reflects(self) -> bool:
         return self in (GroupKind.DIHEDRAL, GroupKind.DIHEDRAL_PI)

@@ -334,6 +334,35 @@ def test_verify_seed_changes_sample_note_not_result(capsys):
     assert "seed 1" in out_a and "seed 2" in out_b
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "--n-max", "0"], "--n-max must lie in 1..64, got 0"),
+        (
+            ["orbits", "-n", "4", "--group", "x4"],
+            "bad group token 'x4'; expected forms like c3, d3, c3pi, d3pi",
+        ),
+        (
+            ["solve", "--word", "0b1", "--a", "0.5", "--d", "0.1"],
+            "bad letter 'b' in word '0b1'",
+        ),
+        (
+            ["region", "--word", "01", "--a-min", "0.4", "--a-max", "0.6",
+             "--a-count", "0"],
+            "--a-count must be at least 1, got 0",
+        ),
+        (["verify", "--n-max-a3", "15"], "--n-max-a3 must lie in 1..14, got 15"),
+    ],
+)
+def test_usage_error_reports_its_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"nagumo-atlas: error: {message}"
+
+
 def test_no_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main([])

@@ -106,6 +106,8 @@ def test_scan_rejects_bad_grids():
         scan_region(w("01"), [0.0, 0.5])
     with pytest.raises(ValueError):
         d_max(w("01"), 0.5, d_cap=0.0)
+    with pytest.raises(ValueError):
+        verify_region_symmetries(w("0a1"), [])
 
 
 def test_scan_region_runs_in_one_process():
