@@ -51,10 +51,12 @@ def _parse_group(token: str, n: int) -> GroupKind:
 
 
 def _write_csv(rows: list[list], header: list[str], path: Optional[str]) -> None:
-    if path is None:
-        out = contextlib.nullcontext(sys.stdout)
-    else:
-        out = open(path, "w", encoding="utf-8", newline="")
+    out = contextlib.nullcontext(sys.stdout)
+    if path is not None:
+        try:
+            out = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {path!r}: {exc.strerror}") from None
     with out as stream:
         csv.writer(stream, lineterminator="\n").writerows([header, *rows])
 
@@ -103,7 +105,9 @@ def _cmd_count(args) -> int:
 
 def _cmd_orbits(args) -> int:
     group = _parse_group(args.group, args.n)
-    for c in enumerate_orbits(args.n, args.alphabet, group, lyndon_only=args.lyndon):
+    for c in enumerate_orbits(args.n, args.alphabet, group):
+        if args.lyndon and c.period != args.n:
+            continue
         line = f"{c.representative} {c.size}"
         if args.full:
             members = sorted(c.members, key=lambda w: w.letters)
@@ -141,7 +145,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_region(args) -> int:
     word = Word.parse(args.word)
-    compare = Word.parse(args.compare) if args.compare else None
+    compare = None if args.compare is None else Word.parse(args.compare)
     if args.a_count < 1:
         raise ValueError(f"--a-count must be at least 1, got {args.a_count}")
     if args.a_count == 1:
@@ -220,13 +224,15 @@ def _cmd_verify(args) -> int:
     if not args.identities_only:
         for alphabet, n_hi in ((A2, args.n_max_a2), (A3, args.n_max_a3)):
             for group in GroupKind:
-                for lyndon in (False, True):
-                    mismatch = []
-                    for n in range(1, n_hi + 1):
+                mismatches = {False: [], True: []}
+                for n in range(1, n_hi + 1):
+                    classes = enumerate_orbits(n, alphabet, group)
+                    for lyndon in (False, True):
                         want = counting.count(alphabet, n, group, lyndon)
-                        got = len(enumerate_orbits(n, alphabet, group, lyndon))
+                        got = sum(c.period == n for c in classes) if lyndon else len(classes)
                         if want != got:
-                            mismatch.append((n, want, got))
+                            mismatches[lyndon].append((n, want, got))
+                for lyndon, mismatch in mismatches.items():
                     label = (
                         f"formula vs enumeration, {alphabet} {group.value}"
                         f"{' lyndon' if lyndon else ''} n <= {n_hi}"

@@ -68,6 +68,8 @@ class RegionBoundary:
 
 def _march(rays: Sequence[tuple[Word, float]], d_cap: float) -> list[BoundarySample]:
     """Measure the region height along every (word, a) ray of the batch."""
+    if not rays:
+        raise ValueError("the threshold grid is empty")
     if d_cap <= 0 or not math.isfinite(d_cap):
         raise ValueError(f"d_cap must be finite and positive, got {d_cap}")
     for word, a in rays:
@@ -77,8 +79,6 @@ def _march(rays: Sequence[tuple[Word, float]], d_cap: float) -> list[BoundarySam
             raise ValueError("dynamics need words of length at least 2")
     if len({len(word) for word, _ in rays}) > 1:
         raise ValueError("the words of one batch must share a length")
-    if not rays:
-        return []
 
     words = [word for word, _ in rays]
     end = gde._march(words, np.array([x for _, x in rays]), d_cap)
@@ -131,8 +131,6 @@ def scan_region(
     None or 1.
     """
     grid = [float(a) for a in a_grid]
-    if not grid:
-        raise ValueError("the threshold grid is empty")
     if any(not (0.0 < a < 1.0) for a in grid):
         raise ValueError("thresholds must lie strictly in (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -157,19 +155,13 @@ class SymmetryReport:
         return max(self.rotation_dev, self.reflection_dev, self.mirror_dev)
 
 
-def verify_region_symmetries(
-    word: Word,
-    a_grid: Sequence[float],
-    d_cap: float = DEFAULT_D_CAP,
-) -> SymmetryReport:
+def verify_region_symmetries(word: Word, a_grid: Sequence[float]) -> SymmetryReport:
     """Check that region height is blind to rotation and reflection of the
     word, and maps a -> 1-a under the value swap."""
     grid = [float(a) for a in a_grid]
-    if not grid:
-        raise ValueError("the threshold grid is empty")
     rays = [(w, a) for w in (word, rotate(word), reflect(word)) for a in grid]
     rays += [(permute_values(word), 1.0 - a) for a in grid]
-    heights = [s.d_max for s in _march(rays, d_cap)]
+    heights = [s.d_max for s in _march(rays, DEFAULT_D_CAP)]
     base, rot, refl, mir = np.array(heights).reshape(4, len(grid))
 
     def dev(other):

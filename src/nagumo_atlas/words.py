@@ -1,5 +1,5 @@
 """Words over {0,1} and {0,a,1}, the symmetry groups acting on them, and
-orbit enumeration by one sweep over all words in the global order.
+orbit classes, listed by one sweep and each reporting its primitive period.
 
 A word of length n labels a candidate stationary pattern on an n-cycle:
 letter 0 or 1 pins a vertex to a stable root of the cubic nonlinearity,
@@ -172,6 +172,11 @@ class OrbitClass:
     def members(self) -> frozenset[Word]:
         return orbit(self.representative, self.group)
 
+    @property
+    def period(self) -> int:
+        """Primitive period of every member: the group actions preserve it."""
+        return _primitive_period(self.representative.letters)
+
 
 def enumeration_limit(alphabet: str) -> int:
     """Longest word length enumerate_orbits accepts: k^n stays within 2^23."""
@@ -183,7 +188,6 @@ def enumerate_orbits(
     n: int,
     alphabet: str = A3,
     group: GroupKind = GroupKind.DIHEDRAL_PI,
-    lyndon_only: bool = False,
 ) -> list[OrbitClass]:
     """Partition words of length n into group orbits by one sweep.
 
@@ -191,10 +195,7 @@ def enumerate_orbits(
     orbit is its minimum: that word becomes the representative, its images
     are built once and every later word among them is skipped. Members are
     not stored; OrbitClass.members rebuilds them from the representative.
-
-    With lyndon_only, only aperiodic words (primitive period n) are listed;
-    the group actions preserve primitive period, so those classes are a
-    sub-partition. Classes come back sorted by representative.
+    Classes come back sorted; the aperiodic ones have OrbitClass.period == n.
 
     The sweep's seen set keeps all k^n words, so lengths beyond
     enumeration_limit(alphabet), where it would pass about 2 GiB, are refused.
@@ -211,7 +212,7 @@ def enumerate_orbits(
     seen: set[tuple[int, ...]] = set()
     classes = []
     for t in itertools.product(letters, repeat=n):
-        if t in seen or (lyndon_only and _primitive_period(t) != n):
+        if t in seen:
             continue
         images = set(_images(t, group))
         seen |= images
@@ -225,8 +226,9 @@ def representatives(
     group: GroupKind = GroupKind.DIHEDRAL_PI,
     lyndon_only: bool = True,
 ) -> list[Word]:
-    """Sorted canonical representatives, one per orbit class."""
+    """Sorted canonical representatives, one per class; with lyndon_only, aperiodic only."""
     return [
         c.representative
-        for c in enumerate_orbits(n, alphabet, group, lyndon_only=lyndon_only)
+        for c in enumerate_orbits(n, alphabet, group)
+        if not lyndon_only or c.period == n
     ]

@@ -363,6 +363,37 @@ def test_usage_error_reports_its_message(capsys, argv, message):
     assert captured.err.splitlines()[-1] == f"nagumo-atlas: error: {message}"
 
 
+REGION_01 = ["region", "--word", "01", "--a-min", "0.4", "--a-max", "0.6", "--a-count", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (REGION_01 + ["--compare", ""], "words must have at least one letter"),
+        (
+            ["count", "--n-max", "2", "--out", ""],
+            "cannot write --out '': No such file or directory",
+        ),
+        (
+            REGION_01 + ["--out", "{missing}"],
+            "cannot write --out '{missing}': No such file or directory",
+        ),
+    ],
+)
+def test_empty_compare_word_and_unopenable_out_are_usage_errors(
+    tmp_path, capsys, argv, message
+):
+    missing = str(tmp_path / "no-such-dir" / "x.csv")
+    with pytest.raises(SystemExit) as info:
+        cli.main([arg.format(missing=missing) for arg in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"nagumo-atlas: error: {message.format(missing=missing)}"
+    )
+
+
 def test_no_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main([])

@@ -1,15 +1,18 @@
-"""Property tests for canonical forms over random words of length 1-9."""
+"""Property tests for canonical forms over random words of length 1-9, and
+for the primitive period that each orbit class reports."""
 
 from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nagumo_atlas.counting import count
 from nagumo_atlas.words import (
     A2,
     A3,
     GroupKind,
     Word,
+    _primitive_period,
     canonical,
     enumerate_orbits,
     orbit,
@@ -61,3 +64,12 @@ def test_canonical_is_a_listed_representative(word, group):
     rep = canonical(word, group)
     assert rep in sizes
     assert sizes[rep] == len(orbit(word, group))
+
+
+@settings(deadline=None)
+@given(st.sampled_from([A2, A3]), groups, st.integers(min_value=1, max_value=8))
+def test_class_period_is_every_members_period(alphabet, group, n):
+    classes = enumerate_orbits(n, alphabet, group)
+    for c in classes:
+        assert all(_primitive_period(m.letters) == c.period for m in c.members)
+    assert sum(c.period == n for c in classes) == count(alphabet, n, group, True)
