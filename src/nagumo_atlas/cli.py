@@ -50,15 +50,23 @@ def _parse_group(token: str, n: int) -> GroupKind:
     return GroupKind.DIHEDRAL_PI if pi else GroupKind.DIHEDRAL
 
 
-def _write_csv(rows: list[list], header: list[str], path: Optional[str]) -> None:
-    out = contextlib.nullcontext(sys.stdout)
-    if path is not None:
-        try:
-            out = open(path, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {path!r}: {exc.strerror}") from None
-    with out as stream:
-        csv.writer(stream, lineterminator="\n").writerows([header, *rows])
+def _csv_out(path: Optional[str]):
+    """Where a command writes its CSV: stdout, or the --out file, opened
+    before the command's work in append mode, so that a later usage error
+    leaves an existing file as it was."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "a", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path!r}: {exc.strerror}") from None
+
+
+def _write_csv(rows: list[list], header: list[str], stream) -> None:
+    """Replace whatever the stream holds with the CSV."""
+    if stream is not sys.stdout:
+        stream.truncate(0)
+    csv.writer(stream, lineterminator="\n").writerows([header, *rows])
 
 
 def _count_label(group: GroupKind, aperiodic: bool) -> str:
@@ -83,23 +91,24 @@ def _cmd_count(args) -> int:
     for alphabet in blocks:
         header += [f"{_count_label(g, ap)}_{alphabet}" for g, ap in columns]
     header += [f"total_{alphabet}" for alphabet in blocks]
-    rows = []
-    for n in range(1, args.n_max + 1):
-        row: list = [n]
-        for alphabet in blocks:
-            row += [counting.count(alphabet, n, g, ap) for g, ap in columns]
-        row += [
-            counting.total_regions(alphabet, n) if n >= 2 else ""
-            for alphabet in blocks
-        ]
-        rows.append(row)
-    if args.table1:
-        table1 = ("n", "total_a3", "BLpi_a3", "total_a2", "BLpi_a2")
-        picked = [header.index(name) for name in table1]
-        header = [header[i] for i in picked]
-        # totals start at n = 2
-        rows = [[row[i] for i in picked] for row in rows[1:]]
-    _write_csv(rows, header, args.out)
+    with _csv_out(args.out) as out:
+        rows = []
+        for n in range(1, args.n_max + 1):
+            row: list = [n]
+            for alphabet in blocks:
+                row += [counting.count(alphabet, n, g, ap) for g, ap in columns]
+            row += [
+                counting.total_regions(alphabet, n) if n >= 2 else ""
+                for alphabet in blocks
+            ]
+            rows.append(row)
+        if args.table1:
+            table1 = ("n", "total_a3", "BLpi_a3", "total_a2", "BLpi_a2")
+            picked = [header.index(name) for name in table1]
+            header = [header[i] for i in picked]
+            # totals start at n = 2
+            rows = [[row[i] for i in picked] for row in rows[1:]]
+        _write_csv(rows, header, out)
     return 0
 
 
@@ -153,26 +162,27 @@ def _cmd_region(args) -> int:
     else:
         width = (args.a_max - args.a_min) / (args.a_count - 1)
         grid = [args.a_min + i * width for i in range(args.a_count)]
-    base = regions.scan_region(word, grid, d_cap=args.d_cap)
-    other = None
-    if compare is not None:
-        other = regions.scan_region(compare, grid, d_cap=args.d_cap)
-    header = ["word", "a", "d_max", "terminal"]
-    if other is not None:
-        header += ["word_b", "d_max_b", "terminal_b", "abs_dev"]
-    rows = []
-    for i, s in enumerate(base.samples):
-        row: list = [str(word), str(s.a), str(s.d_max), s.terminal.value]
+    with _csv_out(args.out) as out:
+        base = regions.scan_region(word, grid, d_cap=args.d_cap)
+        other = None
+        if compare is not None:
+            other = regions.scan_region(compare, grid, d_cap=args.d_cap)
+        header = ["word", "a", "d_max", "terminal"]
         if other is not None:
-            o = other.samples[i]
-            row += [
-                str(compare),
-                str(o.d_max),
-                o.terminal.value,
-                str(abs(s.d_max - o.d_max)),
-            ]
-        rows.append(row)
-    _write_csv(rows, header, args.out)
+            header += ["word_b", "d_max_b", "terminal_b", "abs_dev"]
+        rows = []
+        for i, s in enumerate(base.samples):
+            row: list = [str(word), str(s.a), str(s.d_max), s.terminal.value]
+            if other is not None:
+                o = other.samples[i]
+                row += [
+                    str(compare),
+                    str(o.d_max),
+                    o.terminal.value,
+                    str(abs(s.d_max - o.d_max)),
+                ]
+            rows.append(row)
+        _write_csv(rows, header, out)
     return 0
 
 

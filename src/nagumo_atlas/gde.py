@@ -35,8 +35,8 @@ branch reaches. The march moves a stack of branches in lockstep, one row
 per (word, a) ray, through one Newton correction per round, and each ray
 keeps its own step. Every row takes exactly the iterations it would take
 alone (batched LAPACK factors each matrix on its own), so a ray ends
-where it would end alone. Each attempt takes one batched slogdet for the
-signs of its rows, and after the loop one more measures every ray's end.
+where it would end alone. It measures det J by one slogdet per accepted
+state, one at each ray's start.
 
 Stability is decided twice at every accepted equilibrium: from the
 letters (a word is stable iff it avoids the middle root a) and from the
@@ -266,39 +266,21 @@ def _build_equilibrium(
 
 
 def _start(
-    words: list[Word], a: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Where the branches of the words at thresholds a begin.
+    words: list[Word], a: np.ndarray, d_cap: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the rays of the words at thresholds a begin: at d = 0, or at
+    d_cap for a constant word, whose branch is exact and never marched.
 
-    Returns the (B, n) stack of exact d = 0 states with the sign and
-    log|det J| there, and each branch's capture spread for _newton_core:
-    min(_HOMOG_SPREAD, half the d = 0 spread), which is 0 for a
-    constant word, whose branch really is the constant one.
+    Returns the (B, n) stack of exact states there, the d there, the sign
+    and log|det J| there, and each branch's capture spread for
+    _newton_core: min(_HOMOG_SPREAD, half the d = 0 spread), 0 for a
+    constant word.
     """
     u = np.array([decoupled_state(w, x) for w, x in zip(words, a)])
-    sign, logdet0 = np.linalg.slogdet(_jacobians(u, a, np.zeros(len(a))))
     capture = np.minimum(_HOMOG_SPREAD, 0.5 * np.ptp(u, axis=1))
-    return u, sign, logdet0, capture
-
-
-def _attempt(
-    u_from: np.ndarray,
-    a: np.ndarray,
-    d_to: np.ndarray,
-    capture: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One continuation step per row: correct u_from[k] at a[k], d_to[k].
-
-    Returns (accepted, corrected states, det signs), each indexed by row;
-    the last two are meaningful where accepted holds. A step is rejected
-    where _newton_core stops its row or det J there is exactly singular;
-    the sign comes from one batched slogdet per attempt.
-    """
-    u_new, converged = _newton_core(u_from, a, d_to, capture)
-    ok = np.flatnonzero(converged)
-    sign = np.zeros(len(u_new))
-    sign[ok] = np.linalg.slogdet(_jacobians(u_new[ok], a[ok], d_to[ok]))[0]
-    return sign != 0.0, u_new, sign
+    d = np.where(capture == 0.0, d_cap, 0.0)
+    sign, logdet0 = np.linalg.slogdet(_jacobians(u, a, d))
+    return u, d, sign, logdet0, capture
 
 
 class _Branches(NamedTuple):
@@ -308,7 +290,7 @@ class _Branches(NamedTuple):
     u: np.ndarray  # (B, n) states there
     sign: np.ndarray  # sign of det J there
     logdet: np.ndarray  # log|det J| there
-    logdet0: np.ndarray  # log|det J| at d = 0
+    logdet0: np.ndarray  # log|det J| where the ray started
     flipped: np.ndarray  # whether det J changed sign between accepted steps
 
 
@@ -316,13 +298,14 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
     """Continue the branch of every (words[k], a[k]) ray upward in d.
 
     A ray ends when it reaches d_cap or when its step falls below
-    _D_STEP_MIN, always correcting from its last accepted state. A
-    constant word's branch is exact, so its ray ends at d_cap without an
-    attempt. Each ray's end is measured once, by one slogdet over the
-    batch. The words share a length.
+    _D_STEP_MIN, always correcting from its last accepted state; a
+    constant word's ray starts at d_cap (_start). A step is rejected where
+    _newton_core stops its row or det J is exactly singular there, found by
+    one batched slogdet per round: one slogdet per accepted state, one at
+    each ray's start. The words share a length.
     """
-    u, sign, logdet0, capture = _start(words, a)
-    d_ok = np.where(capture == 0.0, d_cap, 0.0)
+    u, d_ok, sign, logdet0, capture = _start(words, a, d_cap)
+    logdet = logdet0.copy()
     flipped = np.zeros(len(words), bool)
     step = np.full(len(words), _D_STEP_INIT)
     streak = np.zeros(len(words), int)
@@ -332,11 +315,16 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
         if not live.size:
             break
         d_try = np.minimum(d_ok[live] + step[live], d_cap)
-        accepted, u_new, sign_new = _attempt(u[live], a[live], d_try, capture[live])
+        u_new, ok = _newton_core(u[live], a[live], d_try, capture[live])
+        sign_new, logdet_new = np.zeros((2, live.size))
+        J = _jacobians(u_new[ok], a[live[ok]], d_try[ok])
+        sign_new[ok], logdet_new[ok] = np.linalg.slogdet(J)
+        accepted = sign_new != 0.0
         won, lost = live[accepted], live[~accepted]
         u[won] = u_new[accepted]
         flipped[won] |= sign_new[accepted] != sign[won]
         sign[won] = sign_new[accepted]
+        logdet[won] = logdet_new[accepted]
         d_ok[won] = d_try[accepted]
         streak[won] += 1
         streak[lost] = 0
@@ -344,9 +332,7 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
         step[grow] = np.minimum(2.0 * step[grow], _D_STEP_INIT)
         streak[grow] = 0
         step[lost] *= 0.5
-    sign_end, logdet = np.linalg.slogdet(_jacobians(u, a, d_ok))
-    flipped |= sign_end != sign
-    return _Branches(d_ok, u, sign_end, logdet, logdet0, flipped)
+    return _Branches(d_ok, u, sign, logdet, logdet0, flipped)
 
 
 def solve_type(word: Word, p: Params) -> Equilibrium:

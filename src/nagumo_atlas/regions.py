@@ -19,8 +19,8 @@ The terminal tag says why the march stopped:
 * DMAX_CAP    - reached the requested cap, still alive;
 * FOLD        - the Jacobian determinant collapsed on the way to the last
                 accepted point (the branch turns around; certificate =
-                ratio of |det J| there to its d = 0 value, at most
-                DET_GUARD);
+                ratio of |det J| there against its value where the ray
+                started, at most DET_GUARD);
 * STEP_FLOOR  - the march died without det collapse (a solver artifact,
                 not a certified fold).
 """
@@ -84,7 +84,9 @@ def _march(rays: Sequence[tuple[Word, float]], d_cap: float) -> list[BoundarySam
     end = gde._march(words, np.array([x for _, x in rays]), d_cap)
     samples = []
     for k, (_, a_k) in enumerate(rays):
-        ratio = math.exp(float(end.logdet[k]) - float(end.logdet0[k]))
+        logdet, logdet0 = float(end.logdet[k]), float(end.logdet0[k])
+        # a constant word's ray stays at its start, where det J may vanish
+        ratio = 1.0 if logdet == logdet0 else math.exp(logdet - logdet0)
         if end.d[k] >= d_cap:
             terminal = Terminal.DMAX_CAP
         elif ratio <= DET_GUARD:
@@ -131,8 +133,6 @@ def scan_region(
     None or 1.
     """
     grid = [float(a) for a in a_grid]
-    if any(not (0.0 < a < 1.0) for a in grid):
-        raise ValueError("thresholds must lie strictly in (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("the threshold grid must be strictly increasing")
     if workers not in (None, 1):

@@ -394,6 +394,35 @@ def test_empty_compare_word_and_unopenable_out_are_usage_errors(
     )
 
 
+def test_unopenable_out_is_reported_before_the_scan(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("region scanned before opening --out")
+
+    monkeypatch.setattr(cli.regions, "scan_region", no_scan)
+    missing = str(tmp_path / "missing" / "x.csv")
+    with pytest.raises(SystemExit) as info:
+        cli.main(REGION_01 + ["--out", missing])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"nagumo-atlas: error: cannot write --out '{missing}': No such file or directory"
+    )
+
+
+def test_later_usage_error_leaves_out_file_unchanged(tmp_path, capsys):
+    target = tmp_path / "region.csv"
+    target.write_bytes(b"earlier contents\n" * 100)
+    grid = ["--a-min", "0.4", "--a-max", "0.6", "--a-count", "3"]
+    reversed_grid = ["--a-min", "0.6", "--a-max", "0.4", "--a-count", "3"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(["region", "--word", "01", *reversed_grid, "--out", str(target)])
+    assert info.value.code == 2
+    assert target.read_bytes() == b"earlier contents\n" * 100
+    # a run that succeeds replaces the whole file with its CSV
+    _, expected = run_cli(capsys, "region", "--word", "01", *grid)
+    assert cli.main(["region", "--word", "01", *grid, "--out", str(target)]) == 0
+    assert target.read_bytes() == expected.encode()
+
+
 def test_no_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main([])

@@ -152,6 +152,37 @@ def test_newton_stops_a_row_sliding_onto_the_constant_state():
     assert np.ptp(roots[0]) < 1e-3
 
 
+def test_newton_stops_a_row_at_a_singular_jacobian():
+    # every entry of the first row's Jacobian is 1/32, so the batched solve
+    # fails and each row is solved alone: the singular row stops where it
+    # started while its neighbour converges
+    start = np.array([[0.25, 0.25], [0.02, 0.97]])
+    a, d = np.array([0.5, 0.5]), np.array([1 / 64, 0.0])
+    assert (jacobian(start[0], Params(0.5, 1 / 64)) == 1 / 32).all()
+    roots, converged = gde._newton_core(start, a, d, np.zeros(2))
+    assert converged.tolist() == [False, True]
+    assert roots[0].tolist() == [0.25, 0.25]
+    assert roots[1] == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def test_march_measures_det_j_of_every_state_it_returns():
+    # 01 folds at 1/16, 0a meets the constant-a state at a(1-a)/4 = 0.06,
+    # and aa's branch is exact, so its ray starts at the cap
+    words = [w("01"), w("0a"), w("aa")]
+    a = np.array([0.5, 0.4, 0.5])
+    for d_cap in (0.5, 0.0):
+        end = gde._march(words, a, d_cap)
+        if d_cap:
+            assert 0.0 < end.d[0] < 0.0625 and 0.0 < end.d[1] < 0.06
+        else:
+            assert (end.d == 0.0).all()
+        for k in range(len(words)):
+            J = jacobian(end.u[k], Params(a[k], end.d[k]))
+            assert (end.sign[k], end.logdet[k]) == tuple(np.linalg.slogdet(J))
+        assert end.d[2] == d_cap
+        assert end.logdet0[2] == end.logdet[2]
+
+
 def test_solve_type_zero_coupling_is_decoupled_state():
     p = Params(0.37, 0.0)
     eq = solve_type(w("0a01"), p)

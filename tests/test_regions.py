@@ -139,13 +139,13 @@ def test_0a_family_is_not_captured_by_the_constant_branch():
 
 def test_every_ray_ends_in_tens_of_rounds(monkeypatch):
     rounds = []
-    attempt = regions.gde._attempt
+    newton = regions.gde._newton_core
 
     def counted(*args):
         rounds.append(len(args[0]))
-        return attempt(*args)
+        return newton(*args)
 
-    monkeypatch.setattr(regions.gde, "_attempt", counted)
+    monkeypatch.setattr(regions.gde, "_newton_core", counted)
     verify_region_symmetries(w("01"), [k / 200.0 for k in range(1, 200)])
     assert 0 < len(rounds) <= 200
     rounds.clear()
@@ -153,6 +153,15 @@ def test_every_ray_ends_in_tens_of_rounds(monkeypatch):
     assert {s.terminal for s in boundary.samples} == {Terminal.DMAX_CAP}
     solve_type(w("00"), Params(0.3, 0.4))
     assert rounds == []
+
+
+def test_constant_word_ray_has_ratio_one_at_its_cap():
+    # the ray of a constant word never leaves its cap, so |det J| is
+    # measured there once, also where it vanishes (aa at a = 1/2, d = 1/16)
+    for d_cap in (regions.DEFAULT_D_CAP, 0.0625):
+        (sample,) = scan_region(w("aa"), [0.5], d_cap=d_cap).samples
+        assert (sample.d_max, sample.terminal) == (d_cap, Terminal.DMAX_CAP)
+        assert sample.det_ratio == 1.0
 
 
 def test_rays_in_one_batch_do_not_interact():
