@@ -3,12 +3,12 @@
 Each pattern (word) exists on a parameter set that contains a vertical
 segment {a} x [0, d_max(a)) for every threshold a it exists at when
 decoupled. d_max() measures that height by continuation from d = 0 with
-the march that gde.solve_type also runs (gde._march, which describes the
-step control): the height is the last d the march accepts before its
-step falls below the floor. solve_type marches by the same rule up to
-the requested d. Solving to d_max's cap takes d_max's steps, so
-NotInRegion.d_reached is then d_max; a lower cap clips a step and
-changes the rest, so membership() may hold just past d_max.
+gde._march, whose rounds (gde._round) hold the step control: the height
+is the last d the march accepts before its step falls below the floor.
+solve_type marches by the same rule to the requested d, and rounds two
+calls on a pattern share are not recomputed. Solving to d_max's cap takes
+d_max's steps, so NotInRegion.d_reached is d_max; a lower cap clips a
+step and changes the rest, so membership() may hold just past d_max.
 
 A batch of (word, a) rays, whose words share a length, is marched in
 lockstep, and a ray ends exactly where it would end alone. d_max is a

@@ -1,6 +1,8 @@
 import math
+import random
 import time
 
+import numpy as np
 import pytest
 
 import oracles
@@ -269,3 +271,131 @@ def test_heights_positive_and_bounded():
     for sample in boundary.samples:
         assert 0.0 < sample.d_max <= 0.3
         assert math.isfinite(sample.det_ratio)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1b")
+@pytest.mark.parametrize("text, a", [("a001aa111", 0.275), ("000a1a0a1", 0.7)])
+def test_images_of_longer_words_agree(text, a):
+    # a corrector jump hops one image's ray onto a sibling branch: a001aa111
+    # deviates by 1.27e-3 under reflection and swap, 000a1a0a1 by 1.79e-3
+    # under swap. Once rays follow their own branch this passes, and the
+    # strict xfail reports it
+    assert verify_region_symmetries(w(text), [a]).max_dev <= 1e-8
+
+
+# single-pattern queries that replay the last ray's rounds: folds,
+# crossings with the constant state, hops (0010, aa011a10aa1), a membership
+# that holds past its fold (0a10000110) and a constant word
+_REPLAYED = [
+    ("01", 0.5), ("0a", 0.1), ("0a", 0.31), ("0a1", 0.475), ("00a", 0.045),
+    ("01a0a0a", 0.49362515400421375), ("10", 0.4937488923094864),
+    ("0a10000110", 0.7925698485498294), ("0010", 0.37207289985926273),
+    ("aa011a10aa1", 0.5018546153971988), ("aa", 0.5),
+]  # fmt: skip
+
+
+def _seeded_patterns(count, seed=21):
+    """count words of lengths spread over 2-24, each at a random threshold."""
+    rng = random.Random(seed)
+    lengths = [2 + k * 22 // (count - 1) for k in range(count)]
+    words = ["".join(rng.choice("0a1") for _ in range(n)) for n in lengths]
+    return [(word, rng.uniform(0.05, 0.95)) for word in words]
+
+
+def _ray(word, a, d_cap=regions.DEFAULT_D_CAP):
+    return scan_region(word, [a], d_cap=d_cap).samples[0]
+
+
+def _answer(query, *args):
+    """A query's answer in a form that compares bit for bit."""
+    try:
+        out = query(*args)
+    except NotInRegion as exc:
+        return "NotInRegion", exc.d_reached.hex()
+    if isinstance(out, regions.BoundarySample):
+        return out.d_max.hex(), out.terminal, out.det_ratio.hex()
+    if isinstance(out, bool):
+        return out
+    return out.u.tobytes(), out.stable, out.det_sign, out.residual_norm.hex()
+
+
+def _forget():
+    # an unrelated single ray of one round replaces the record of the last
+    # (word, a) marched, so the next query of it marches afresh
+    _ray(w("01"), 0.3, 1e-3)
+
+
+def _fresh(query, *args):
+    _forget()
+    return _answer(query, *args)
+
+
+def test_replayed_queries_answer_bitwise_as_fresh_ones():
+    start = time.perf_counter()
+    past_fold = {}
+    for text, a in _REPLAYED + _seeded_patterns(12):
+        word = w(text)
+        first = _fresh(_ray, word, a)
+        height = float.fromhex(first[0])
+        queries = [(solve_type, word, Params(a, f * height)) for f in (0.25, 0.5, 0.9, 1.0)]
+        queries += [(membership, word, Params(a, 1.01 * height + 1e-6)), (_ray, word, a, 0.04)]
+        replayed = [_answer(*q) for q in queries] + [_answer(_ray, word, a)]
+        fresh = [_fresh(*q) for q in queries] + [first]
+        assert replayed == fresh, (text, a)
+        past_fold[text] = replayed[4]
+        if (text, a) not in _REPLAYED:
+            continue
+        # a solve at a small cap first, then the region march and membership
+        _fresh(solve_type, word, Params(a, 0.01))
+        assert [_answer(_ray, word, a), _answer(*queries[4])] == [first, fresh[4]]
+    # a hop past the fold (ROADMAP item 1), kept as it is
+    assert past_fold["0a10000110"] is True
+    # 3.2-5.7 s measured on 2 cores: each fresh answer marches from d = 0
+    assert time.perf_counter() - start < 20.0
+
+
+def test_queries_after_d_max_make_a_handful_of_corrections(monkeypatch):
+    corrections = []
+    newton = regions.gde._newton_core
+
+    def counted(*args):
+        corrections.append(len(args[0]))
+        return newton(*args)
+
+    monkeypatch.setattr(regions.gde, "_newton_core", counted)
+
+    def count(query, *args):
+        corrections.clear()
+        try:
+            query(*args)
+        except NotInRegion:
+            pass
+        return len(corrections)
+
+    # measured: 49-160 corrections for a fresh d_max, one for each solve,
+    # 0-2 for membership and none for a repeated d_max
+    for text, a in _REPLAYED[:5] + _REPLAYED[7:9]:
+        word = w(text)
+        _forget()
+        assert count(d_max, word, a) >= 40
+        height, _ = d_max(word, a)
+        for f in (0.25, 0.5, 0.9):
+            assert count(solve_type, word, Params(a, f * height)) == 1, (text, f)
+        assert count(membership, word, Params(a, 1.01 * height + 1e-6)) <= 2, text
+        assert count(d_max, word, a) == 0
+
+
+def test_returned_states_share_no_memory_with_the_replayed_rounds():
+    word, a = w("0a1"), 0.475
+    _forget()
+    end = regions.gde._march([word], np.array([a]), regions.DEFAULT_D_CAP)
+    kept = [x.copy() for x in end]
+    for x in end:
+        x[...] = 0
+    again = regions.gde._march([word], np.array([a]), regions.DEFAULT_D_CAP)
+    assert all(np.array_equal(x, y) for x, y in zip(kept, again))
+    p = Params(a, 0.5 * float(kept[0][0]))
+    eq = solve_type(word, p)
+    u = eq.u.copy()
+    eq.u[:] = 7.0
+    assert solve_type(word, p).u.tobytes() == u.tobytes()
