@@ -36,9 +36,10 @@ per (word, a) ray, through one Newton correction per round, and each ray
 keeps its own step. Every row takes exactly the iterations it would take
 alone (batched LAPACK factors each matrix on its own), so a ray ends
 where it would end alone. It measures det J by one slogdet per accepted
-state, one at each ray's start. A batch of one replays the last single
-ray's rounds while in step with them (_march): a query after d_max of the
-same (word, a) corrects little, and answers as a fresh march would.
+state, one at each ray's start. A batch of one of the last single ray's
+(word, a) jumps through its recorded rounds to the first one its cap
+attempts differently (_march): a query after d_max corrects little, and
+answers as a fresh march would.
 
 Stability is decided twice at every accepted equilibrium: from the
 letters (a word is stable iff it avoids the middle root a) and from the
@@ -303,13 +304,14 @@ def _start(
 
 def _round(
     rays: _Branches, live: np.ndarray, a: np.ndarray, capture: np.ndarray, d_cap: float
-) -> np.ndarray:
-    """Attempt one step on each live ray, in place; return which were accepted.
+) -> None:
+    """Attempt one step on each live ray, in place.
 
     A step is rejected where _newton_core stops its row or det J is exactly
     singular there, found by one batched slogdet over the converged rows. A
     rejected step halves; _REGROW_AFTER accepted ones in a row double it,
-    never beyond _D_STEP_INIT.
+    never beyond _D_STEP_INIT. A ray's new state depends only on its state
+    and its attempt, so _march may jump over recorded rounds.
     """
     d_try = np.minimum(rays.d[live] + rays.step[live], d_cap)
     u_new, ok = _newton_core(rays.u[live], a[live], d_try, capture[live])
@@ -329,7 +331,6 @@ def _round(
     rays.step[grow] = np.minimum(2.0 * rays.step[grow], _D_STEP_INIT)
     rays.streak[grow] = 0
     rays.step[lost] *= 0.5
-    return accepted
 
 
 # ((word, a), d_cap, record) of the last single-ray march: the record stacks
@@ -344,42 +345,34 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
     _D_STEP_MIN, always correcting from its last accepted state (_round); a
     constant word's ray starts at d_cap (_start). The words share a length.
 
-    A batch of one replays the last single ray's rounds while in step with
-    them. A round's outcome depends only on its starting state and its
-    attempt, so a ray of the recorded (word, a) jumps to the recorded state
-    before the first round whose attempt the two caps clip differently and
-    corrects that attempt alone. If both attempts were rejected it is back
-    in step (a rejection only halves the step); otherwise it marches on.
-    Every answer is bitwise what a fresh march gives. Another (word, a), or
-    a larger cap, replaces the record; constant words bypass it.
+    A batch of one of the last single ray's (word, a) starts from its record.
+    A round's outcome depends only on its starting state and its attempt, so
+    the ray jumps to the recorded state before the first round whose attempt
+    the two caps clip differently (to the end, if none does) and marches on
+    from there. Every answer is bitwise what a fresh march gives. Another
+    (word, a), or a larger cap, replaces the record; constant words bypass it.
     """
     global _last_ray
     key, rec_cap, rec = _last_ray  # read once: another thread may replace it
     rays, capture = _start(words, a, d_cap)
     solo = len(words) == 1 and capture[0] > 0.0
-    rec = rec if solo and key == (words[0], a[0]) else None
-    keep = solo and (rec is None or d_cap > rec_cap)
-    states, i = [[] for _ in rays], 0  # round-start states and the end, by field
+    same = solo and key == (words[0], a[0])
+    keep = solo and (not same or d_cap > rec_cap)
+    states = [[] for _ in rays]  # round-start states and the end, by field
+    if same:
+        clip = rec.d[:-1] + rec.step[:-1] > min(d_cap, rec_cap)
+        clip &= d_cap != rec_cap  # equal caps attempt every round alike
+        j = int(np.argmax(clip)) if clip.any() else clip.size
+        states = [list(x[:j]) for x in rec]
+        rays = _Branches(*(x[j : j + 1].copy() for x in rec))
     while True:
-        if rec is not None:
-            clip = rec.d[i:-1] + rec.step[i:-1] > min(d_cap, rec_cap)
-            clip &= d_cap != rec_cap  # equal caps attempt every round alike
-            j = i + (int(np.argmax(clip)) if clip.any() else clip.size)
-            if keep:
-                for h, x in zip(states, rec):
-                    h.extend(x[i:j])
-            rays = _Branches(*(x[j : j + 1].copy() for x in rec))
         if keep:
             for h, x in zip(states, rays):
                 h.append(x[0].copy())
         live = np.flatnonzero((rays.d < d_cap) & (rays.step >= _D_STEP_MIN))
         if not live.size:
             break
-        accepted = _round(rays, live, a, capture, d_cap)
-        if rec is not None:
-            # both attempts rejected: the state is the record's next one
-            back = j + 1 < len(rec.d) and not accepted[0] and rec.d[j + 1] == rec.d[j]
-            rec, i = (rec, j + 1) if back else (None, 0)
+        _round(rays, live, a, capture, d_cap)
     if keep:
         _last_ray = ((words[0], a[0]), d_cap, _Branches(*map(np.array, states)))
     return rays

@@ -8,7 +8,8 @@ is the last d the march accepts before its step falls below the floor.
 solve_type marches by the same rule to the requested d, and rounds two
 calls on a pattern share are not recomputed. Solving to d_max's cap takes
 d_max's steps, so NotInRegion.d_reached is d_max; a lower cap clips a
-step and changes the rest, so membership() may hold just past d_max.
+step and changes the rest. membership() compares p.d with the height, so
+it holds exactly up to d_max.
 
 A batch of (word, a) rays, whose words share a length, is marched in
 lockstep, and a ray ends exactly where it would end alone. d_max is a
@@ -113,12 +114,9 @@ def d_max(word: Word, a: float, d_cap: float = DEFAULT_D_CAP) -> tuple[float, Te
 
 
 def membership(word: Word, p: Params) -> bool:
-    """Whether the pattern exists at p, decided by continuation from d = 0."""
-    try:
-        gde.solve_type(word, p)
-    except gde.SolveError:
-        return False
-    return True
+    """Whether p lies in the pattern's region: p.d at most the height above
+    p.a, measured up to DEFAULT_D_CAP or to p.d where that is higher."""
+    return p.d <= d_max(word, p.a, max(p.d, DEFAULT_D_CAP))[0]
 
 
 def scan_region(
