@@ -24,8 +24,9 @@ such crossings, and the det_sign recorded on the returned equilibrium is
 the sign at the requested d: -1 or 1, or 0 for a constant word whose d
 meets a zero eigenvalue f'(c) - d*mu_k of its state (aa at a = 1/2,
 d = 1/16), a state that exists. And no Newton iterate may stray far from
-its step's start or draw together onto a surviving constant state
-(_newton_core). A constant word's branch is exact, so it is never marched.
+its step's start or draw together onto a surviving constant state, and a
+correction stops once its residual grows (_newton_core). A constant
+word's branch is exact, so it is never marched.
 
 One march (_march) serves solve_type, a batch of one capped at the
 requested d, and every height measurement of the regions module, so all
@@ -209,7 +210,10 @@ def _newton_core(
     at a singular Jacobian, at an iterate further than _MAX_CORRECTOR_JUMP
     from u[k] (a hop towards a sibling branch) or spread less than
     capture[k] (a slide onto the constant state that survives where a
-    branch ends against it, "converging" forever after), and after
+    branch ends against it, "converging" forever after), where an update
+    after the first leaves a larger residual max-norm than the update
+    before (a monotonicity test, Deuflhard 2004: near a fold such a
+    correction fails slowly or wanders onto a sibling branch), and after
     _MAX_NEWTON_ITERS updates. A row leaves the iteration as soon as it
     converges or stops, so it takes exactly the steps it would take alone.
     """
@@ -217,16 +221,20 @@ def _newton_core(
     rows, start, stop = np.arange(len(u)), u, np.zeros(len(u), bool)
     for it in range(_MAX_NEWTON_ITERS + 1):
         r = _residuals(u, a, d)
-        done = (np.abs(r).max(axis=1) <= _NEWTON_TOL) & ~stop
+        norm = np.abs(r).max(axis=1)
+        if it >= 2:
+            stop |= norm > last
+        done = (norm <= _NEWTON_TOL) & ~stop
         converged[rows[done]] = True
         out = done | stop | (it == _MAX_NEWTON_ITERS)
         if out.any():
             roots[rows[out]] = u[out]
-            u, start, a, d, capture, rows, r = (
-                x[~out] for x in (u, start, a, d, capture, rows, r)
+            u, start, a, d, capture, rows, r, norm = (
+                x[~out] for x in (u, start, a, d, capture, rows, r, norm)
             )
         if not rows.size:
             break
+        last = norm
         du, singular = _solve_rows(_jacobians(u, a, d), -r)
         u = u + du
         stop = singular | (np.abs(u - start).max(axis=1) > _MAX_CORRECTOR_JUMP)

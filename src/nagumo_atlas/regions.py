@@ -103,10 +103,13 @@ def d_max(word: Word, a: float, d_cap: float = DEFAULT_D_CAP) -> tuple[float, Te
 
     Returns (d_max, terminal). The height is the last d the march accepts
     before its step falls below the floor, not the branch's end itself.
-    Over a = k/200 it is within 2.3e-10 of the two- and three-cell folds.
-    Where a branch meets the constant-a state (01 at a = 1/2, 0a at
-    a(1-a)/4, aa0 at a(1-a)/3) it falls short by 6e-8 to 1.4e-4: the
-    capture spread stops 0a 2.5e-5, 00aa 5.0e-5 and aa0 1.4e-4 early at
+    Over a = k/200 it is within 2.3e-10 of the two- and three-cell folds
+    at every threshold. Where a branch merges into a more symmetric one
+    the march goes on along that one and over-claims: 0a1 at a = 0.475
+    gives 0.0832, past where it joins aa1's branch near 0.0671. Where a
+    branch meets the constant-a state (01 at a = 1/2, 0a at a(1-a)/4,
+    aa0 at a(1-a)/3) it falls short by 6e-8 to 1.4e-4: the capture
+    spread stops 0a 2.5e-5, 00aa 5.0e-5 and aa0 1.4e-4 early at
     a = 0.005.
     """
     (sample,) = _march([(word, a)], d_cap)

@@ -123,18 +123,59 @@ def test_newton_stops_a_row_that_jumps_from_its_start():
     assert roots[1] == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
+def _plain_newton(u, p):
+    """Newton from u at p with none of the package's stopping rules, to
+    convergence or _MAX_NEWTON_ITERS updates: its iterates and their
+    residual max-norms."""
+    iterates, norms = [u], [np.abs(residual(u, p)).max()]
+    while norms[-1] > gde._NEWTON_TOL and len(norms) <= gde._MAX_NEWTON_ITERS:
+        u = u - np.linalg.solve(jacobian(u, p), residual(u, p))
+        iterates.append(u)
+        norms.append(np.abs(residual(u, p)).max())
+    return iterates, norms
+
+
+# a 01 step at a = 0.49 just past the last accepted state below its fold at
+# 0.0372446
+_STRAY = np.array([0.23484711597266725, 0.8504047963355621])
+_STRAY_P = Params(0.49, 0.03724609375000002)
+
+
 def test_newton_stops_a_row_that_strays_towards_a_sibling_branch(monkeypatch):
-    # a 01 step at a = 0.49 just past the last accepted state below its fold
-    # at 0.0372446: the iterates pass 0.25 from the start, and left to run
-    # they converge onto another branch
-    start = np.array([[0.23484711597266725, 0.8504047963355621]])
-    a, d = np.array([0.49]), np.array([0.03724609375000002])
-    _, converged = gde._newton_core(start, a, d, np.array([1e-3]))
-    assert not converged[0]
-    monkeypatch.setattr(gde, "_MAX_CORRECTOR_JUMP", np.inf)
-    roots, converged = gde._newton_core(start, a, d, np.array([1e-3]))
-    assert converged[0]
-    assert roots[0] == pytest.approx([0.1296, 0.6755], abs=1e-4)
+    # left unguarded, the iterates pass 0.25 from the start and converge
+    # onto another branch; the residual grows at the second update already,
+    # which stops the row with or without the jump limit
+    iterates, norms = _plain_newton(_STRAY, _STRAY_P)
+    assert norms[-1] <= gde._NEWTON_TOL
+    assert iterates[-1] == pytest.approx([0.1296, 0.6755], abs=1e-4)
+    assert max(np.abs(x - _STRAY).max() for x in iterates) > gde._MAX_CORRECTOR_JUMP
+    assert norms[2] > norms[1]
+    rows = (_STRAY[None], np.array([_STRAY_P.a]), np.array([_STRAY_P.d]), np.array([1e-3]))
+    for jump in (gde._MAX_CORRECTOR_JUMP, np.inf):
+        monkeypatch.setattr(gde, "_MAX_CORRECTOR_JUMP", jump)
+        roots, converged = gde._newton_core(*rows)
+        assert not converged[0]
+        assert roots[0] == pytest.approx(iterates[2], abs=1e-12)
+
+
+def test_newton_stops_a_row_whose_residual_grows_from_the_second_update_on():
+    # from [0.12, 1] at a = 1/2, d = 0 the first update overshoots and the
+    # residual grows, then it falls at every update to the root [0, 1]; the
+    # 01 row above grows at its second update and stops there
+    overshoot = np.array([0.12, 1.0])
+    _, norms = _plain_newton(overshoot, Params(0.5, 0.0))
+    assert norms[1] > norms[0]
+    assert (np.diff(norms[1:]) < 0).all()
+    stray, _ = _plain_newton(_STRAY, _STRAY_P)
+    roots, converged = gde._newton_core(
+        np.array([overshoot, _STRAY]),
+        np.array([0.5, _STRAY_P.a]),
+        np.array([0.0, _STRAY_P.d]),
+        np.full(2, 1e-3),
+    )
+    assert converged.tolist() == [True, False]
+    assert roots[0] == pytest.approx([0.0, 1.0], abs=1e-12)
+    assert roots[1] == pytest.approx(stray[2], abs=1e-12)
 
 
 def test_newton_stops_a_row_sliding_onto_the_constant_state():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nagumo_atlas import gde, regions
+from nagumo_atlas import regions
 from nagumo_atlas.gde import NotInRegion, Params, solve_type
 from nagumo_atlas.regions import (
     Terminal,
@@ -35,10 +35,15 @@ def test_mixed_pair_transcritical_analytic():
     # singularity only up to moderate thresholds; at larger a a genuine
     # fold precedes it (measured d_max ~ 0.0194 at a = 0.62), so the
     # oracle is asserted on the low side only.
-    for a in (0.31, 0.475, 0.5):
+    for a in (0.31, 0.475):
         height, terminal = d_max(w("0a"), a)
         assert height == pytest.approx(a * (1.0 - a) / 4.0, abs=1e-6)
         assert terminal is Terminal.FOLD
+    # at a = 1/2 the branch folds at 1/24, an exact root of the two-cell
+    # system, before it would reach the constant state at 1/16
+    height, terminal = d_max(w("0a"), 0.5)
+    assert height == pytest.approx(1.0 / 24.0, abs=1e-9)
+    assert terminal is Terminal.FOLD
 
 
 def test_constant_words_reach_the_cap():
@@ -231,17 +236,15 @@ def test_membership_ends_at_the_fold_where_a_step_once_hopped():
         assert not membership(w(text), Params(a, 1.01 * height + 1e-6))
 
 
-# (word, a) where a solve capped at 1.01 * d_max + 1e-6 steps past the fold
-# onto a sibling branch (ROADMAP item 1), 001 from point_queries seed 2204
+# (word, a) where a solve capped at 1.01 * d_max + 1e-6 stepped past the fold
+# onto a sibling branch; 0a10000110 still does (ROADMAP item 1). 001 is
+# from point_queries seed 2204
 _HOPPED_PAST_FOLD = [
     ("0a10000110", 0.7925698485498294),
     ("100111a00aa0110a1a11aa1", 0.8109184983992451),
     ("001", 0.40770381348243295),
 ]
 
-# (word, a) on k/200 where scan_region still leaves the branch that the
-# oracle follows (ROADMAP item 1); a mend must move these into the gates
-_KNOWN_HOPS = {("0a", 0.5), ("0a", 0.505), ("1a", 0.495), ("1a", 0.5), ("00aa", 0.5)}
 # the largest shortfall of d_max at a branch's crossing with a constant
 # state, as d_max's docstring states it
 _CROSSING_SHORTFALL = 1.4e-4
@@ -258,9 +261,7 @@ def test_heights_match_the_two_and_three_cell_oracles():
     for word, (exact, crossed), scale in cases:
         heights = [s.d_max for s in scan_region(w(word), grid).samples]
         for a, want, at_crossing, got in zip(grid, scale * exact, crossed, heights):
-            if (word, a) in _KNOWN_HOPS:
-                assert abs(got - want) > 1e-9, f"{word} at {a} agrees: update ROADMAP item 1"
-            elif at_crossing:
+            if at_crossing:
                 assert 0.0 <= want - got <= _CROSSING_SHORTFALL, (word, a, want, got)
             else:
                 assert got == pytest.approx(want, abs=1e-9), (word, a)
@@ -288,23 +289,19 @@ def test_heights_positive_and_bounded():
         assert math.isfinite(sample.det_ratio)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1b")
 @pytest.mark.parametrize("text, a", [("a001aa111", 0.275), ("000a1a0a1", 0.7)])
 def test_images_of_longer_words_agree(text, a):
-    # a corrector jump hops one image's ray onto a sibling branch: a001aa111
-    # deviates by 1.27e-3 under reflection and swap, 000a1a0a1 by 1.79e-3
-    # under swap. Once rays follow their own branch this passes, and the
-    # strict xfail reports it
+    # a wandering correction once hopped one image's ray onto a sibling
+    # branch: a001aa111 deviated by 1.27e-3 under reflection and swap,
+    # 000a1a0a1 by 1.79e-3 under swap
     assert verify_region_symmetries(w(text), [a]).max_dev <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, raises=gde.StabilityMismatch, reason="ROADMAP items 1b and 13")
 def test_solves_below_the_height_of_a_pair_crossing_succeed():
-    # point_queries seed 2205 draws 10111 here: its height is a fold that
-    # every image agrees on, but solves capped at d = 0.062 and 0.064 end on
-    # states of Morse index 0 and 2, with det J < 0 at both, so the det sign
-    # cannot see the pair of eigenvalues the march goes through. Once rays
-    # end where their branch does, the strict xfail reports it
+    # point_queries seed 2205 draws 10111 here. Its ray once went on past
+    # its fold at 0.0631 to 0.168, and solves capped at d = 0.062 and 0.064
+    # ended on states of Morse index 0 and 2, with det J < 0 at both, so
+    # the det sign could not see the pair of eigenvalues the march passed
     word, a = w("10111"), 0.6338838848070426
     height, terminal = d_max(word, a)
     assert terminal is Terminal.FOLD
@@ -312,9 +309,32 @@ def test_solves_below_the_height_of_a_pair_crossing_succeed():
         solve_type(word, Params(a, f * height))
 
 
+def test_corrections_that_stop_contracting_no_longer_hop_past_folds():
+    # each of these rays once went on along a sibling branch that a slow,
+    # wandering correction reached past its fold. The folds below are a
+    # pseudo-arclength tracer's, given to 7 digits
+    for text, a, fold in (("0010", 0.37207289985926273, 0.0618425), ("000a", 0.375, 0.0605625)):
+        height, terminal = d_max(w(text), a)
+        assert terminal is Terminal.FOLD
+        assert height == pytest.approx(fold, abs=5e-8), text
+    # point_queries seed 1812: the solve below the height once ended at
+    # 0.0376363, the fold, short of the hopped height 0.0421750
+    word, a = w("aa011a10aa1"), 0.5018546153971988
+    height, _ = d_max(word, a)
+    solve_type(word, Params(a, 0.9 * height))
+    # above a = 1/2 the 0a fold falls as a grows; 0.505 once hopped to 0.0625
+    heights = [d_max(w("0a"), a)[0] for a in (0.505, 0.51, 0.515, 0.52, 0.525)]
+    assert all(np.diff(heights) < 0), heights
+    # a solve capped just past these folds no longer lands on a sibling branch
+    for text, a in _HOPPED_PAST_FOLD[1:]:
+        height, _ = d_max(w(text), a)
+        with pytest.raises(NotInRegion):
+            solve_type(w(text), Params(a, 1.01 * height + 1e-6))
+
+
 # single-pattern queries that replay the last ray's rounds: folds,
-# crossings with the constant state, hops (0010, aa011a10aa1), a solve that
-# holds past its fold (0a10000110) and a constant word
+# crossings with the constant state, former hops (0010, aa011a10aa1), a
+# solve that holds past its fold (0a10000110) and a constant word
 _REPLAYED = [
     ("01", 0.5), ("0a", 0.1), ("0a", 0.31), ("0a1", 0.475), ("00a", 0.045),
     ("01a0a0a", 0.49362515400421375), ("10", 0.4937488923094864),
