@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -151,6 +152,30 @@ def test_orbits_sizes_sum_to_word_count(capsys):
     assert code == 0
     total = sum(int(line.split()[1]) for line in out.splitlines())
     assert total == 3**4
+
+
+# sha256 of `orbits -n N --alphabet A --group G --full`, recorded from the
+# set-based sweep that the vectorised one replaced
+FULL_LISTING_SHA256 = {
+    ("a3", 7, "c"): "5d5068f6798244e117f2ec5f684f0c545d23ec931b7550ae21f252f8c97c7145",
+    ("a3", 7, "d"): "94f77551d220eaa492dce17ed4815473106bf0b938a89f9bbad28adc313ace5a",
+    ("a3", 7, "cpi"): "64fc9f820535c7870a9aa9b74d6f3a551fd1009c9230ebb2d8bac3ce418ad507",
+    ("a3", 7, "dpi"): "7487c628ee4a6fcb2b8828b9e8e075422b6b967c843c9c663eb209fed8ee8a0c",
+    ("a2", 10, "c"): "a17a3864702c9876b30671030cf6c16bd80edce27ea5d84668894f6eb827f7c7",
+    ("a2", 10, "d"): "9d3ba200f19f3427f2d37a4c6e74812c5d9246cfcc5ec02cdb788a0a6788a999",
+    ("a2", 10, "cpi"): "96a2017929db0b2371d9d01e674fd711caa38f3199bfbe66d221b72b55a3690a",
+    ("a2", 10, "dpi"): "412466d6ba17fa32d10630c07f4c2e68de5b3a15320bfaa478af5ba788216121",
+}
+
+
+@pytest.mark.parametrize("alphabet,n,group", sorted(FULL_LISTING_SHA256))
+def test_orbits_full_listing_is_byte_identical(capsys, alphabet, n, group):
+    code, out = run_cli(
+        capsys, "orbits", "-n", str(n), "--alphabet", alphabet, "--group", group, "--full"
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == FULL_LISTING_SHA256[alphabet, n, group]
 
 
 def test_orbits_group_token_errors(capsys):

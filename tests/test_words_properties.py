@@ -6,13 +6,13 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nagumo_atlas.counting import count
 from nagumo_atlas.words import (
     A2,
     A3,
     GroupKind,
     Word,
-    _primitive_period,
     canonical,
     enumerate_orbits,
     orbit,
@@ -71,5 +71,5 @@ def test_canonical_is_a_listed_representative(word, group):
 def test_class_period_is_every_members_period(alphabet, group, n):
     classes = enumerate_orbits(n, alphabet, group)
     for c in classes:
-        assert all(_primitive_period(m.letters) == c.period for m in c.members)
+        assert all(oracles.primitive_period(m.letters) == c.period for m in c.members)
     assert sum(c.period == n for c in classes) == count(alphabet, n, group, True)
