@@ -25,9 +25,11 @@ import re
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import counting, numtheory, regions
 from .gde import Params, SolveError, solve_type
-from .words import A2, A3, GroupKind, Word, enumerate_orbits, enumeration_limit
+from .words import A2, A3, GroupKind, Word, enumeration_limit, spell, sweep_orbits
 
 _GROUP_TOKEN = re.compile(r"^(c|d)(\d+)?(pi)?$")
 
@@ -113,15 +115,26 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    group = _parse_group(args.group, args.n)
-    for c in enumerate_orbits(args.n, args.alphabet, group):
-        if args.lyndon and c.period != args.n:
-            continue
-        line = f"{c.representative} {c.size}"
+    n, alphabet = args.n, args.alphabet
+    group = _parse_group(args.group, n)
+    _, minima, reps, sizes, periods = next(
+        c for c in sweep_orbits(n, alphabet) if c[0] is group
+    )
+    ends = np.cumsum(sizes)
+    keep = periods == n if args.lyndon else slice(None)
+    reps, sizes, ends = reps[keep], sizes[keep], ends[keep]
+    # every code under its minimum; a stable sort keeps members in word order
+    order = np.argsort(minima, kind="stable") if args.full else None
+    for i in range(0, reps.size, 1024):  # a block of classes bounds the text held
+        block = slice(i, i + 1024)
+        lines = [f"{w} {size}" for w, size in
+                 zip(spell(reps[block], n, alphabet), sizes[block].tolist())]
         if args.full:
-            members = sorted(c.members, key=lambda w: w.letters)
-            line += " " + ",".join(str(w) for w in members)
-        print(line)
+            first = ends[i] - sizes[i]
+            members = spell(order[first:ends[block][-1]], n, alphabet)
+            lines = [f"{line} {','.join(members[end - size:end])}" for line, end, size
+                     in zip(lines, (ends[block] - first).tolist(), sizes[block].tolist())]
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 0
 
 
@@ -233,24 +246,23 @@ def _cmd_verify(args) -> int:
 
     if not args.identities_only:
         for alphabet, n_hi in ((A2, args.n_max_a2), (A3, args.n_max_a3)):
-            for group in GroupKind:
-                mismatches = {False: [], True: []}
-                for n in range(1, n_hi + 1):
-                    classes = enumerate_orbits(n, alphabet, group)
+            mismatches = {(g, lyndon): [] for g in GroupKind for lyndon in (False, True)}
+            for n in range(1, n_hi + 1):
+                for group, _, reps, _, periods in sweep_orbits(n, alphabet):
                     for lyndon in (False, True):
                         want = counting.count(alphabet, n, group, lyndon)
-                        got = sum(c.period == n for c in classes) if lyndon else len(classes)
+                        got = np.count_nonzero(periods == n) if lyndon else reps.size
                         if want != got:
-                            mismatches[lyndon].append((n, want, got))
-                for lyndon, mismatch in mismatches.items():
-                    label = (
-                        f"formula vs enumeration, {alphabet} {group.value}"
-                        f"{' lyndon' if lyndon else ''} n <= {n_hi}"
-                    )
-                    report(label, not mismatch)
-                    for n, want, got in mismatch:
-                        print(f"  n={n}: formula {want}, enumerated {got}",
-                              file=sys.stderr)
+                            mismatches[group, lyndon].append((n, want, got))
+            for (group, lyndon), mismatch in mismatches.items():
+                label = (
+                    f"formula vs enumeration, {alphabet} {group.value}"
+                    f"{' lyndon' if lyndon else ''} n <= {n_hi}"
+                )
+                report(label, not mismatch)
+                for n, want, got in mismatch:
+                    print(f"  n={n}: formula {want}, enumerated {got}",
+                          file=sys.stderr)
         for alphabet in (A2, A3):
             bad_pairs = [
                 (group, n)

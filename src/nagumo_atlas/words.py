@@ -1,5 +1,6 @@
 """Words over {0,1} and {0,a,1}, the symmetry groups acting on them, and
-orbit classes, listed by one vectorised sweep with their primitive periods.
+orbit classes of all four groups, listed with their primitive periods by one
+vectorised sweep over the rotations of every word.
 
 A word of length n labels a candidate stationary pattern on an n-cycle:
 letter 0 or 1 pins a vertex to a stable root of the cubic nonlinearity,
@@ -13,7 +14,9 @@ letter a to the unstable middle root. Four groups act on words:
 Letters are stored as small ints chosen so that tuple comparison is the
 global word order with 0 < a < 1. Canonical representatives are minima
 under that order, so enumeration output is deterministic. The sweep reads
-each word as a base-k integer code whose integer order is the same order.
+each word as a base-k integer code whose integer order is the same order;
+the value swap and the reversal then act on its array of rotation minima
+as two gathers (an index reversal and a transpose), not as further sweeps.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ _CHAR_OF = {ZERO: "0", MID: "a", ONE: "1"}
 _LETTER_OF = {"0": ZERO, "a": MID, "1": ONE}
 _SWAP = {ZERO: ONE, MID: MID, ONE: ZERO}
 
-# Refuse to enumerate beyond ~2^23 words: the sweep holds about 32 bytes a
-# word, so the largest accepted sweeps peak near 300 MiB (dpi on one Xeon
-# core: a3 n = 14 takes 1.4 s and 175 MiB RSS, a2 n = 23 4.3 s and 285 MiB).
+# Refuse to enumerate beyond ~2^23 words: the sweep holds about 30 bytes a
+# word, so the largest accepted sweeps peak near 250 MiB (dpi on one Xeon
+# core: a3 n = 14 takes 0.64 s and 160 MiB RSS, a2 n = 23 1.4 s and 250 MiB).
 _ENUMERATION_BITS = 23
 
 
@@ -151,28 +154,6 @@ def orbit(w: Word, group: GroupKind) -> frozenset[Word]:
     return frozenset(Word(t, w.alphabet) for t in _images(w.letters, group))
 
 
-def _code_images(x: np.ndarray, n: int, k: int, group: GroupKind):
-    """Yield the codes of every image of the words coded by x (|G| arrays),
-    the rotations of x by 0..n-1 first. A code reads a word as a base-k
-    number, first letter most significant and letter index 0 < a < 1."""
-    variants = [x]
-    if group.reflects:
-        reversed_x, rest = np.zeros_like(x), x
-        for _ in range(n):
-            rest, digit = np.divmod(rest, k)
-            reversed_x *= k
-            reversed_x += digit
-        variants.append(reversed_x)
-    for v in variants:
-        for s in range(n):
-            image = v % k ** (n - s)
-            image *= k**s
-            image += v // k ** (n - s)
-            yield image
-            if group.swaps_values:
-                yield k**n - 1 - image
-
-
 @dataclass(frozen=True)
 class OrbitClass:
     """One orbit, held as its minimum, with the primitive period of every
@@ -189,9 +170,64 @@ class OrbitClass:
 
 
 def enumeration_limit(alphabet: str) -> int:
-    """Longest word length enumerate_orbits accepts: k^n stays within 2^23."""
+    """Longest word length sweep_orbits accepts: k^n stays within 2^23."""
     _check_alphabet(alphabet)
     return int(_ENUMERATION_BITS / math.log2(len(_ALPHABET_LETTERS[alphabet])))
+
+
+def sweep_orbits(n: int, alphabet: str = A3):
+    """Yield (group, minima, reps, sizes, periods) for the groups c, cpi, d
+    and dpi in turn, all from one sweep over the rotations of the k^n words.
+
+    Code x reads a word in base k, first letter most significant and letter
+    index 0 < a < 1, so integer order is word order; minima[x] is the least
+    code in x's orbit. The value swap maps x to k^n - 1 - x and commutes with
+    rotation and reversal, so adding it takes min(minima, minima[::-1]); the
+    reversal reverses x's digits, so the dihedral minima are the least of the
+    cyclic ones and their transpose as a k x ... x k array. The reps are the
+    codes equal to their minimum, sorted; sizes[i] counts the codes whose
+    minimum is reps[i], and periods[i] is reps[i]'s primitive period.
+
+    Groups are derived one at a time, so the sweep holds a few int32 arrays
+    of k^n codes, about 30 bytes a word at its peak; lengths beyond
+    enumeration_limit(alphabet) are refused.
+    """
+    if n < 1:
+        raise ValueError(f"word length must be positive, got {n}")
+    limit = enumeration_limit(alphabet)
+    k = len(_ALPHABET_LETTERS[alphabet])
+    if n > limit:
+        raise ValueError(
+            f"enumerating {k}^{n} words exceeds the size guard of length {limit}"
+        )
+    codes = np.arange(k**n, dtype=np.int32)  # the guard keeps k^n within 2^23
+    minima = codes.copy()
+    for s in range(1, n):  # the rotation by s
+        np.minimum(minima, codes % k ** (n - s) * k**s + codes // k ** (n - s), out=minima)
+    # a cyclic class's size is its period, at most 23 under the guard
+    periods = np.bincount(minima).astype(np.int8)
+
+    def classes(group, low):
+        reps = np.flatnonzero(low == codes)
+        return group, low, reps, np.bincount(low)[reps], periods[reps]
+
+    yield classes(GroupKind.CYCLIC, minima)
+    yield classes(GroupKind.CYCLIC_PI, np.minimum(minima, minima[::-1]))
+    cube = (k,) * n  # axis i holds letter i, so the reversal is the transpose
+    minima = np.minimum(minima.reshape(cube), minima.reshape(cube).T).ravel()
+    yield classes(GroupKind.DIHEDRAL, minima)
+    yield classes(GroupKind.DIHEDRAL_PI, np.minimum(minima, minima[::-1]))
+
+
+def _digits(codes: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Letter indices of the length-n words that codes stand for, one row each."""
+    return codes[:, None] // k ** np.arange(n - 1, -1, -1, dtype=np.int32) % k
+
+
+def spell(codes: np.ndarray, n: int, alphabet: str = A3) -> list[str]:
+    """The length-n words that codes stand for, as strings."""
+    chars = np.array([_CHAR_OF[x] for x in _ALPHABET_LETTERS[alphabet]])
+    return chars[_digits(codes, n, len(chars))].view(f"U{n}").ravel().tolist()
 
 
 def enumerate_orbits(
@@ -199,38 +235,13 @@ def enumerate_orbits(
     alphabet: str = A3,
     group: GroupKind = GroupKind.DIHEDRAL_PI,
 ) -> list[OrbitClass]:
-    """Partition words of length n into group orbits by one sweep.
-
-    All k^n words are taken at once as base-k codes, whose integer order is
-    the global word order, and each code keeps the running minimum over its
-    group images. The codes equal to their minimum are the representatives,
-    already sorted; a class's size is the number of codes whose minimum it
-    is, and its period the first rotation that fixes its representative.
-    Members are not stored; OrbitClass.members rebuilds them.
-
-    The sweep holds a few int32 arrays of k^n codes, about 32 bytes a word
-    at its peak, so lengths beyond enumeration_limit(alphabet) are refused.
-    """
-    if n < 1:
-        raise ValueError(f"word length must be positive, got {n}")
-    limit = enumeration_limit(alphabet)
-    letters = _ALPHABET_LETTERS[alphabet]
-    k = len(letters)
-    if n > limit:
-        raise ValueError(
-            f"enumerating {k}^{n} words exceeds the size guard of length {limit}"
-        )
-    codes = np.arange(k**n, dtype=np.int32)  # the guard keeps k^n within 2^23
-    low = codes.copy()
-    for image in _code_images(codes, n, k, group):
-        np.minimum(low, image, out=low)
-    reps = np.flatnonzero(low == codes)
-    sizes = np.bincount(low)[reps]
-    # rows are the rotations by 1, ..., n; a period is the first that fixes
-    fixed = np.roll(list(_code_images(reps, n, k, GroupKind.CYCLIC)), -1, axis=0) == reps
-    periods = fixed.argmax(axis=0) + 1
-    digits = reps[:, None] // k ** np.arange(n - 1, -1, -1) % k
-    words = np.array(letters)[digits].tolist()
+    """Partition words of length n into group orbits, sorted by
+    representative: the group's classes from sweep_orbits (one rotation
+    sweep, whose minima the swap and the reversal gather) as objects.
+    Members are not stored; OrbitClass.members rebuilds them."""
+    _, _, reps, sizes, periods = next(c for c in sweep_orbits(n, alphabet) if c[0] is group)
+    letters = np.array(_ALPHABET_LETTERS[alphabet])
+    words = letters[_digits(reps, n, len(letters))].tolist()
     return [OrbitClass(Word(tuple(t), alphabet), group, size, period)
             for t, size, period in zip(words, sizes.tolist(), periods.tolist())]
 

@@ -155,7 +155,8 @@ def test_orbits_sizes_sum_to_word_count(capsys):
 
 
 # sha256 of `orbits -n N --alphabet A --group G --full`, recorded from the
-# set-based sweep that the vectorised one replaced
+# set-based sweep that the vectorised one replaced; a3 n = 10 dpi (1,652
+# classes, printed in two blocks) from the per-class member rebuild after it
 FULL_LISTING_SHA256 = {
     ("a3", 7, "c"): "5d5068f6798244e117f2ec5f684f0c545d23ec931b7550ae21f252f8c97c7145",
     ("a3", 7, "d"): "94f77551d220eaa492dce17ed4815473106bf0b938a89f9bbad28adc313ace5a",
@@ -165,6 +166,15 @@ FULL_LISTING_SHA256 = {
     ("a2", 10, "d"): "9d3ba200f19f3427f2d37a4c6e74812c5d9246cfcc5ec02cdb788a0a6788a999",
     ("a2", 10, "cpi"): "96a2017929db0b2371d9d01e674fd711caa38f3199bfbe66d221b72b55a3690a",
     ("a2", 10, "dpi"): "412466d6ba17fa32d10630c07f4c2e68de5b3a15320bfaa478af5ba788216121",
+    ("a3", 10, "dpi"): "d5b60d78b51d34065de411d51f8da16c4907975b40cbe72ead22036f110f1a9e",
+}
+
+# the same with --lyndon, recorded from the per-class member rebuild that the
+# grouping of all codes under their minimum replaced
+LYNDON_FULL_LISTING_SHA256 = {
+    ("a3", 6, "dpi"): "7f50ff96f7959d2ffab5c89a3e1901425730931dce428a4c5ec4678777c0e486",
+    ("a2", 10, "cpi"): "c9c7b3b8d170c2b93382aeec71462415e0b629cf0c77ea1f11994063e3a29b1e",
+    ("a3", 10, "dpi"): "da3ece8246e4fd0336a8fcc0b07331cb6e0a59c13351549610cbdf32bc4a7cf5",
 }
 
 
@@ -176,6 +186,17 @@ def test_orbits_full_listing_is_byte_identical(capsys, alphabet, n, group):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == FULL_LISTING_SHA256[alphabet, n, group]
+
+
+@pytest.mark.parametrize("alphabet,n,group", sorted(LYNDON_FULL_LISTING_SHA256))
+def test_orbits_lyndon_full_listing_is_byte_identical(capsys, alphabet, n, group):
+    code, out = run_cli(
+        capsys, "orbits", "-n", str(n), "--alphabet", alphabet, "--group", group,
+        "--lyndon", "--full",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == LYNDON_FULL_LISTING_SHA256[alphabet, n, group]
 
 
 def test_orbits_group_token_errors(capsys):
@@ -322,11 +343,21 @@ def test_verify_small_enumeration_bounds(capsys):
     assert "MISMATCH" not in out
 
 
+def test_verify_output_is_byte_identical(capsys):
+    # sha256 of `verify --seed 1` at the default bounds, recorded from the
+    # four per-group listings that one sweep per (alphabet, n) replaced
+    code, out = run_cli(capsys, "verify", "--seed", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a09135f6246613cdf448b559ee87ed3af42e1e6b577f798e609c5afe41cbf6bc"
+    )
+
+
 def test_verify_usage_errors_exit_2(capsys, monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("verify enumerated before rejecting its bounds")
 
-    monkeypatch.setattr(cli, "enumerate_orbits", no_enumeration)
+    monkeypatch.setattr(cli, "sweep_orbits", no_enumeration)
     for argv in (
         ["verify", "--n-max-a2", "-3", "--n-max-a3", "0", "--n-max", "5"],
         ["verify", "--n-max-a2", "0"],
@@ -345,7 +376,7 @@ def test_verify_usage_errors_exit_2(capsys, monkeypatch):
 
 def test_verify_largest_enumeration_bounds_are_accepted(capsys, monkeypatch):
     seen = []
-    monkeypatch.setattr(cli, "enumerate_orbits", lambda n, *rest: seen.append(n) or [])
+    monkeypatch.setattr(cli, "sweep_orbits", lambda n, *rest: seen.append(n) or [])
     cli.main(["verify", "--n-max-a2", "23", "--n-max-a3", "14", "--n-max", "5"])
     assert max(seen) == 23 and 14 in seen
 

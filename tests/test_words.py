@@ -17,6 +17,8 @@ from nagumo_atlas.words import (
     reflect,
     representatives,
     rotate,
+    spell,
+    sweep_orbits,
 )
 
 ALL_GROUPS = list(GroupKind)
@@ -195,6 +197,36 @@ def test_enumerate_orbits_partitions_all_words():
                     assert reps == sorted({canonical(x, group) for x in listed})
 
 
+def test_sweep_arrays_agree_with_the_class_objects():
+    # verify counts from sweep_orbits' arrays; enumerate_orbits is their object view
+    for alphabet, n_hi in ((A2, 12), (A3, 8)):
+        for n in range(1, n_hi + 1):
+            swept = list(sweep_orbits(n, alphabet))
+            assert [s[0] for s in swept] == [
+                GroupKind.CYCLIC, GroupKind.CYCLIC_PI, GroupKind.DIHEDRAL, GroupKind.DIHEDRAL_PI,
+            ]
+            for group, minima, reps, sizes, periods in swept:
+                classes = enumerate_orbits(n, alphabet, group)
+                assert spell(reps, n, alphabet) == [str(c.representative) for c in classes]
+                assert sizes.tolist() == [c.size for c in classes]
+                assert periods.tolist() == [c.period for c in classes]
+                assert sorted(set(minima.tolist())) == reps.tolist()
+
+
+def test_sweep_minima_are_canonical_forms():
+    # codes count up in word order, so minima[x] belongs to the x-th word
+    for alphabet, n_hi in ((A2, 8), (A3, 6)):
+        for n in range(1, n_hi + 1):
+            every_word = [
+                w("".join(t), alphabet)
+                for t in itertools.product(LETTERS[alphabet], repeat=n)
+            ]
+            for group, minima, *_ in sweep_orbits(n, alphabet):
+                assert spell(minima, n, alphabet) == [
+                    str(canonical(x, group)) for x in every_word
+                ]
+
+
 def test_representative_sets_match_published_table():
     assert {str(x) for x in representatives(2, A3)} == {"01", "0a"}
     assert {str(x) for x in representatives(6, A2)} == {
@@ -213,8 +245,8 @@ def test_representatives_are_aperiodic_by_default():
 
 
 def test_enumeration_memory_peak():
-    # the vectorised sweep peaks at 5.4 MiB here, about 32 bytes a word;
-    # the set of seen words it replaced peaked at 31.9 MiB
+    # the rotation sweep peaks at 5.1 MiB here, about 30 bytes a word; the
+    # sweep over every group image peaked at 5.4 MiB, a set of seen words at 31.9
     enumerate_orbits(3, A3, GroupKind.DIHEDRAL_PI)
     tracemalloc.start()
     try:
