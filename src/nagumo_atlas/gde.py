@@ -26,7 +26,7 @@ meets a zero eigenvalue f'(c) - d*mu_k of its state (aa at a = 1/2,
 d = 1/16), a state that exists. And no Newton iterate may stray far from
 its step's start or draw together onto a surviving constant state, and a
 correction stops once its residual grows (_newton_core). A constant
-word's branch is exact, so it is never marched.
+word (no spread at d = 0) has an exact branch and is never marched.
 
 One march (_march) serves solve_type, a batch of one capped at the
 requested d, and every height measurement of the regions module, so all
@@ -36,11 +36,11 @@ branch reaches. The march moves a stack of branches in lockstep, one row
 per (word, a) ray, through one Newton correction per round, and each ray
 keeps its own step. Every row takes exactly the iterations it would take
 alone (batched LAPACK factors each matrix on its own), so a ray ends
-where it would end alone. It measures det J by one slogdet per accepted
-state, one at each ray's start. A batch of one of the last single ray's
-(word, a) jumps through its recorded rounds to the first one its cap
-attempts differently (_march): a query after d_max corrects little, and
-answers as a fresh march would.
+where it would end alone. It checks its rays once, first, and measures
+det J by one slogdet per accepted state and one at each ray's start. A
+batch of one of the last single ray's (word, a) jumps through its
+recorded rounds to the first one its cap attempts differently (_march):
+a query after d_max corrects little, and answers as a fresh march would.
 
 Stability is decided twice at every accepted equilibrium: from the
 letters (a word is stable iff it avoids the middle root a) and from the
@@ -291,23 +291,23 @@ class _Branches(NamedTuple):
 
 def _start(
     words: list[Word], a: np.ndarray, d_cap: float
-) -> tuple[_Branches, np.ndarray]:
-    """Where the rays of the words at thresholds a begin: at d = 0, or at
-    d_cap for a constant word, whose branch is exact and never marched.
-
-    Returns the rays there, det J measured, and each branch's capture
-    spread for _newton_core: min(_HOMOG_SPREAD, half the d = 0 spread), 0
-    for a constant word.
+) -> tuple[_Branches, np.ndarray, np.ndarray]:
+    """Where the rays of the words at thresholds a begin, det J measured: at
+    d = 0, or at d_cap for a constant word (no spread at d = 0), exact and
+    never marched. Also returns each ray's capture spread for _newton_core,
+    min(_HOMOG_SPREAD, half its d = 0 spread), and the constant words' mask.
     """
     u = np.array([decoupled_state(w, x) for w, x in zip(words, a)])
-    capture = np.minimum(_HOMOG_SPREAD, 0.5 * np.ptp(u, axis=1))
-    d = np.where(capture == 0.0, d_cap, 0.0)
+    spread = np.ptp(u, axis=1)
+    constant = spread == 0.0
+    capture = np.minimum(_HOMOG_SPREAD, 0.5 * spread)
+    d = np.where(constant, d_cap, 0.0)
     sign, logdet0 = np.linalg.slogdet(_jacobians(u, a, d))
     rays = _Branches(
         d, u, sign, logdet0.copy(), logdet0,
         np.zeros_like(d, bool), np.full_like(d, _D_STEP_INIT), np.zeros_like(d, int),
     )
-    return rays, capture
+    return rays, capture, constant
 
 
 def _round(
@@ -351,25 +351,35 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
 
     A ray ends when it reaches d_cap or when its step falls below
     _D_STEP_MIN, always correcting from its last accepted state (_round); a
-    constant word's ray starts at d_cap (_start). The words share a length.
+    constant word's ray starts at d_cap (_start). A threshold outside (0, 1),
+    a word of one letter or words of two lengths raise ValueError first.
 
     A batch of one of the last single ray's (word, a) starts from its record.
     A round's outcome depends only on its starting state and its attempt, so
-    the ray jumps to the recorded state before the first round whose attempt
-    the two caps clip differently (to the end, if none does) and marches on
-    from there. Every answer is bitwise what a fresh march gives. Another
-    (word, a), or a larger cap, replaces the record; constant words bypass it.
+    a recorded round is reused exactly when both caps clip its attempt
+    alike: the ray jumps to the first round they clip differently (to the
+    end, if none does) and marches on from there. Every answer is bitwise
+    what a fresh march gives. Another (word, a), or a larger cap, replaces
+    the record; constant words bypass it.
     """
     global _last_ray
+    bad = ~((0.0 < a) & (a < 1.0))
+    if bad.any():
+        raise ValueError(f"threshold a must lie strictly in (0, 1), got {a[bad][0]}")
+    lengths = {len(word) for word in words}
+    if min(lengths) < 2:
+        raise ValueError("dynamics need words of length at least 2")
+    if len(lengths) > 1:
+        raise ValueError("the words of one batch must share a length")
     key, rec_cap, rec = _last_ray  # read once: another thread may replace it
-    rays, capture = _start(words, a, d_cap)
-    solo = len(words) == 1 and capture[0] > 0.0
+    rays, capture, constant = _start(words, a, d_cap)
+    solo = len(words) == 1 and not constant[0]
     same = solo and key == (words[0], a[0])
     keep = solo and (not same or d_cap > rec_cap)
     states = [[] for _ in rays]  # round-start states and the end, by field
     if same:
-        clip = rec.d[:-1] + rec.step[:-1] > min(d_cap, rec_cap)
-        clip &= d_cap != rec_cap  # equal caps attempt every round alike
+        attempt = rec.d[:-1] + rec.step[:-1]
+        clip = np.minimum(attempt, d_cap) != np.minimum(attempt, rec_cap)
         j = int(np.argmax(clip)) if clip.any() else clip.size
         states = [list(x[:j]) for x in rec]
         rays = _Branches(*(x[j : j + 1].copy() for x in rec))
@@ -393,8 +403,6 @@ def solve_type(word: Word, p: Params) -> Equilibrium:
     correcting each step until the residual max-norm is within _NEWTON_TOL.
     Raises NotInRegion if the branch folds before p.d.
     """
-    if len(word) < 2:
-        raise ValueError("dynamics need words of length at least 2")
     end = _march([word], np.array([p.a]), p.d)
     if end.d[0] < p.d:
         raise NotInRegion(word, p, d_reached=float(end.d[0]))

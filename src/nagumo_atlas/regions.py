@@ -73,16 +73,7 @@ def _march(rays: Sequence[tuple[Word, float]], d_cap: float) -> list[BoundarySam
         raise ValueError("the threshold grid is empty")
     if d_cap <= 0 or not math.isfinite(d_cap):
         raise ValueError(f"d_cap must be finite and positive, got {d_cap}")
-    for word, a in rays:
-        if not (0.0 < a < 1.0):
-            raise ValueError(f"threshold a must lie strictly in (0, 1), got {a}")
-        if len(word) < 2:
-            raise ValueError("dynamics need words of length at least 2")
-    if len({len(word) for word, _ in rays}) > 1:
-        raise ValueError("the words of one batch must share a length")
-
-    words = [word for word, _ in rays]
-    end = gde._march(words, np.array([x for _, x in rays]), d_cap)
+    end = gde._march([word for word, _ in rays], np.array([a for _, a in rays]), d_cap)
     samples = []
     for k, (_, a_k) in enumerate(rays):
         logdet, logdet0 = float(end.logdet[k]), float(end.logdet0[k])

@@ -91,9 +91,9 @@ class Word:
         allowed = _ALPHABET_LETTERS[self.alphabet]
         for x in self.letters:
             if x not in allowed:
-                raise ValueError(
-                    f"letter {x!r} not in alphabet {self.alphabet!r}"
-                )
+                # name a known letter code by its character: code 1 is 'a'
+                shown = _CHAR_OF[x] if x in (ZERO, MID, ONE) else x
+                raise ValueError(f"letter {shown!r} not in alphabet {self.alphabet!r}")
 
     @classmethod
     def parse(cls, text: str, alphabet: str = A3) -> "Word":

@@ -17,7 +17,7 @@ from nagumo_atlas.gde import (
     residual,
     solve_type,
 )
-from nagumo_atlas.regions import Terminal, d_max, membership
+from nagumo_atlas.regions import Terminal, d_max, membership, scan_region
 from nagumo_atlas.words import Word, permute_values, reflect, rotate
 
 
@@ -275,9 +275,27 @@ def test_solve_type_capture_by_constant_branch_rejected():
     assert info.value.d_reached == pytest.approx(a * (1.0 - a) / 4.0, abs=1e-6)
 
 
-def test_solve_type_word_too_short():
-    with pytest.raises(ValueError):
+def _no_start(*args):
+    raise AssertionError("a ray that fails its checks reached gde._start")
+
+
+def test_solve_type_word_too_short(monkeypatch):
+    monkeypatch.setattr(gde, "_start", _no_start)
+    with pytest.raises(ValueError, match="^dynamics need words of length at least 2$"):
         solve_type(Word((0,)), Params(0.5, 0.1))
+
+
+def test_constant_words_are_found_from_their_state_not_the_capture_spread(monkeypatch):
+    # with no capture spread a two-letter word still marches, and only a word
+    # whose d = 0 state has no spread starts at its cap
+    monkeypatch.setattr(gde, "_HOMOG_SPREAD", 0.0)
+    monkeypatch.setattr(gde, "_last_ray", (None, 0.0, None))  # no record outlives the test
+    eq = solve_type(w("01"), Params(0.5, 0.01))
+    assert eq.residual_norm <= 1e-12
+    assert not np.array_equal(eq.u, decoupled_state(w("01"), 0.5))
+    assert d_max(w("000"), 0.3) == (0.5, Terminal.DMAX_CAP)
+    (sample,) = scan_region(w("000"), [0.3]).samples
+    assert sample.det_ratio == 1.0
 
 
 def test_solve_type_residual_meets_tolerance():

@@ -102,7 +102,18 @@ def test_scan_symmetric_about_half_for_self_mirror_word():
         assert heights[i] == pytest.approx(heights[98 - i], abs=1e-6)
 
 
-def test_scan_rejects_bad_grids():
+def test_scan_rejects_bad_grids(monkeypatch):
+    def no_start(*args):
+        raise AssertionError("a ray that fails its checks reached gde._start")
+
+    monkeypatch.setattr(regions.gde, "_start", no_start)
+    for a in (math.nan, 1.0):
+        with pytest.raises(ValueError, match=rf"^threshold a must lie strictly in \(0, 1\), got {a}$"):
+            d_max(w("01"), a)
+    with pytest.raises(ValueError, match="^dynamics need words of length at least 2$"):
+        scan_region(w("0"), [0.3])
+    with pytest.raises(ValueError, match="^the words of one batch must share a length$"):
+        regions._march([(w("01"), 0.3), (w("011"), 0.3)], regions.DEFAULT_D_CAP)
     with pytest.raises(ValueError):
         scan_region(w("01"), [])
     with pytest.raises(ValueError):

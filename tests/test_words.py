@@ -46,8 +46,11 @@ def test_parse_rejects_unknown_letters():
 
 
 def test_alphabet_validation():
-    with pytest.raises(ValueError):
+    # a known letter code is named by its character, an unknown one by its repr
+    with pytest.raises(ValueError, match="^letter 'a' not in alphabet 'a2'$"):
         Word.parse("0a1", A2)
+    with pytest.raises(ValueError, match="^letter 7 not in alphabet 'a3'$"):
+        Word((0, 7))
     with pytest.raises(ValueError):
         Word((0, 1), "a4")
     assert Word.parse("0011", A2).alphabet == A2
