@@ -34,13 +34,15 @@ of them stop by one rule: a ray ends when it reaches its cap or when its
 step falls below _D_STEP_MIN, and the last d it accepted is how far the
 branch reaches. The march moves a stack of branches in lockstep, one row
 per (word, a) ray, through one Newton correction per round, and each ray
-keeps its own step. Every row takes exactly the iterations it would take
-alone (batched LAPACK factors each matrix on its own), so a ray ends
-where it would end alone. It checks its rays once, first, and measures
-det J by one slogdet per accepted state and one at each ray's start. A
-batch of one of the last single ray's (word, a) jumps through its
-recorded rounds to the first one its cap attempts differently (_march):
-a query after d_max corrects little, and answers as a fresh march would.
+keeps its own step. The correction iterates on a sites-major (n, B) copy,
+rays along the contiguous axis, and every row still takes exactly the
+iterations it would take alone (batched LAPACK factors each matrix on its
+own), so a ray ends where it would end alone. It checks its rays once,
+first, and measures det J by one slogdet per accepted state and one at
+each ray's start. A batch of one of the last single ray's (word, a)
+jumps through its recorded rounds to the first one its cap attempts
+differently (_march): a query after d_max corrects little, and answers
+as a fresh march would.
 
 Stability is decided twice at every accepted equilibrium: from the
 letters (a word is stable iff it avoids the middle root a) and from the
@@ -141,47 +143,56 @@ def _as_state(u) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Site indices of the n-cycle with those of their left and right
-    neighbours."""
+def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the left and right neighbours of the n-cycle's sites."""
     idx = np.arange(n)
-    return idx, (idx - 1) % n, (idx + 1) % n
+    return (idx - 1) % n, (idx + 1) % n
+
+
+@lru_cache(maxsize=None)
+def _adjacency(n: int) -> np.ndarray:
+    """Read-only adjacency matrix of the n-cycle: one per incident edge, so
+    the n = 2 cycle (a doubled edge) holds 2 off the diagonal."""
+    A = np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
+    A.flags.writeable = False
+    return A
 
 
 def _residuals(u: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """residual() of each row of the (B, n) stack u at a[k], d[k]."""
-    _, left, right = _neighbours(u.shape[1])
-    return d[:, None] * (u[:, left] - 2.0 * u + u[:, right]) + cubic(u, a[:, None])
+    """residual() of each column of the sites-major (n, B) stack u at a[k], d[k]."""
+    left, right = _neighbours(len(u))
+    return d * (u[left] - 2.0 * u + u[right]) + cubic(u, a)
 
 
 def _jacobians(u: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """jacobian() of each row of the (B, n) stack u, as a (B, n, n) stack.
-
-    d is added once per incident edge, so the n = 2 cycle (a doubled edge)
-    gets off-diagonal entries 2d without special-casing.
-    """
-    idx, left, right = _neighbours(u.shape[1])
-    J = np.zeros(u.shape + u.shape[1:])
-    J[:, idx, idx] = cubic_deriv(u, a[:, None]) - 2.0 * d[:, None]
-    J[:, idx, right] += d[:, None]
-    J[:, idx, left] += d[:, None]
+    """jacobian() of each column of the sites-major (n, B) stack u, as a
+    (B, n, n) stack: d times the cycle's adjacency, diagonal f'(u) - 2d."""
+    n = len(u)
+    J = d[:, None, None] * _adjacency(n)
+    J.reshape(-1, n * n)[:, :: n + 1] = (cubic_deriv(u, a) - 2.0 * d).T
     return J
 
 
 def residual(u, p: Params) -> np.ndarray:
     """Right-hand side of the stationary system at state u."""
-    return _residuals(_as_state(u)[None], np.array([p.a]), np.array([p.d]))[0]
+    return _residuals(_as_state(u)[:, None], np.array([p.a]), np.array([p.d]))[:, 0]
 
 
 def jacobian(u, p: Params) -> np.ndarray:
     """Derivative of residual(); cyclic tridiagonal and symmetric."""
-    return _jacobians(_as_state(u)[None], np.array([p.a]), np.array([p.d]))[0]
+    return _jacobians(_as_state(u)[:, None], np.array([p.a]), np.array([p.d]))[0]
+
+
+def _decoupled_states(words: list[Word], a: np.ndarray) -> np.ndarray:
+    """decoupled_state() of each (words[k], a[k]), as a (B, n) stack."""
+    roots = np.empty((len(words), 3))
+    roots[:, ZERO], roots[:, MID], roots[:, ONE] = 0.0, a, 1.0
+    return np.take_along_axis(roots, np.array([w.letters for w in words]), axis=1)
 
 
 def decoupled_state(word: Word, a: float) -> np.ndarray:
     """The exact d = 0 equilibrium named by the word: 0 -> 0, a -> a, 1 -> 1."""
-    values = {ZERO: 0.0, MID: a, ONE: 1.0}
-    return np.array([values[x] for x in word.letters], dtype=float)
+    return _decoupled_states([word], np.array([float(a)]))[0]
 
 
 def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,31 +225,34 @@ def _newton_core(
     after the first leaves a larger residual max-norm than the update
     before (a monotonicity test, Deuflhard 2004: near a fold such a
     correction fails slowly or wanders onto a sibling branch), and after
-    _MAX_NEWTON_ITERS updates. A row leaves the iteration as soon as it
-    converges or stops, so it takes exactly the steps it would take alone.
+    _MAX_NEWTON_ITERS updates. It iterates on a sites-major (n, B) copy of u,
+    so its reductions run along the contiguous axis. A row leaves as soon as
+    it converges or stops, so it still takes exactly the iterations it
+    would take alone.
     """
     roots, converged = np.empty_like(u), np.zeros(len(u), bool)
-    rows, start, stop = np.arange(len(u)), u, np.zeros(len(u), bool)
+    u = start = np.ascontiguousarray(u.T)
+    rows, stop = np.arange(len(roots)), np.zeros(len(roots), bool)
     for it in range(_MAX_NEWTON_ITERS + 1):
         r = _residuals(u, a, d)
-        norm = np.abs(r).max(axis=1)
+        norm = np.abs(r).max(axis=0)
         if it >= 2:
             stop |= norm > last
         done = (norm <= _NEWTON_TOL) & ~stop
         converged[rows[done]] = True
         out = done | stop | (it == _MAX_NEWTON_ITERS)
         if out.any():
-            roots[rows[out]] = u[out]
-            u, start, a, d, capture, rows, r, norm = (
-                x[~out] for x in (u, start, a, d, capture, rows, r, norm)
-            )
+            roots[rows[out]] = u[:, out].T
+            keep = np.flatnonzero(~out)
+            u, start, r = u[:, keep], start[:, keep], r[:, keep]
+            a, d, capture, rows, norm = (x[keep] for x in (a, d, capture, rows, norm))
         if not rows.size:
             break
         last = norm
-        du, singular = _solve_rows(_jacobians(u, a, d), -r)
-        u = u + du
-        stop = singular | (np.abs(u - start).max(axis=1) > _MAX_CORRECTOR_JUMP)
-        stop |= np.ptp(u, axis=1) < capture
+        du, singular = _solve_rows(_jacobians(u, a, d), -r.T)
+        u = u + du.T
+        stop = singular | (np.abs(u - start).max(axis=0) > _MAX_CORRECTOR_JUMP)
+        stop |= u.max(axis=0) - u.min(axis=0) < capture
     return roots, converged
 
 
@@ -297,12 +311,12 @@ def _start(
     never marched. Also returns each ray's capture spread for _newton_core,
     min(_HOMOG_SPREAD, half its d = 0 spread), and the constant words' mask.
     """
-    u = np.array([decoupled_state(w, x) for w, x in zip(words, a)])
-    spread = np.ptp(u, axis=1)
+    u = _decoupled_states(words, a)
+    spread = u.max(axis=1) - u.min(axis=1)
     constant = spread == 0.0
     capture = np.minimum(_HOMOG_SPREAD, 0.5 * spread)
     d = np.where(constant, d_cap, 0.0)
-    sign, logdet0 = np.linalg.slogdet(_jacobians(u, a, d))
+    sign, logdet0 = np.linalg.slogdet(_jacobians(u.T, a, d))
     rays = _Branches(
         d, u, sign, logdet0.copy(), logdet0,
         np.zeros_like(d, bool), np.full_like(d, _D_STEP_INIT), np.zeros_like(d, int),
@@ -324,7 +338,7 @@ def _round(
     d_try = np.minimum(rays.d[live] + rays.step[live], d_cap)
     u_new, ok = _newton_core(rays.u[live], a[live], d_try, capture[live])
     sign_new, logdet_new = np.zeros((2, live.size))
-    J = _jacobians(u_new[ok], a[live[ok]], d_try[ok])
+    J = _jacobians(u_new[ok].T, a[live[ok]], d_try[ok])
     sign_new[ok], logdet_new[ok] = np.linalg.slogdet(J)
     accepted = sign_new != 0.0
     won, lost = live[accepted], live[~accepted]

@@ -94,6 +94,27 @@ def test_jacobian_matches_finite_difference():
         assert J[:, j] == pytest.approx(col, abs=1e-8)
 
 
+def test_residual_and_jacobian_are_their_defining_formulas():
+    # the batched kernels must compute exactly the textbook formulas, site
+    # by site, with the n = 2 cycle's doubled edge in the adjacency
+    rng = np.random.default_rng(2707)
+    for n in range(2, 9):
+        A = np.zeros((n, n))
+        for i in range(n):
+            A[i, (i - 1) % n] += 1.0
+            A[i, (i + 1) % n] += 1.0
+        for _ in range(6):
+            u = rng.uniform(-0.2, 1.2, size=n)
+            p = Params(rng.uniform(0.05, 0.95), rng.uniform(0.0, 0.3))
+            J = np.diag(cubic_deriv(u, p.a) - 2.0 * p.d) + p.d * A
+            h = [
+                p.d * (u[i - 1] - 2.0 * u[i] + u[(i + 1) % n]) + cubic(u[i], p.a)
+                for i in range(n)
+            ]
+            assert jacobian(u, p) == pytest.approx(J, rel=0, abs=0)
+            assert residual(u, p) == pytest.approx(h, rel=0, abs=0)
+
+
 def test_decoupled_state_letters():
     u = decoupled_state(w("0a1"), 0.4)
     assert u == pytest.approx([0.0, 0.4, 1.0], abs=0.0)
@@ -204,6 +225,37 @@ def test_newton_stops_a_row_at_a_singular_jacobian():
     assert converged.tolist() == [False, True]
     assert roots[0].tolist() == [0.25, 0.25]
     assert roots[1] == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def test_newton_rows_take_exactly_the_iterations_they_take_alone():
+    # a seeded batch, with the rows above that stop for growth, at a singular
+    # Jacobian, for a jump and for a capture mixed in, must give each row
+    # bitwise the root and flag that the row gives when run on its own
+    rng = np.random.default_rng(2709)
+    capture_a = 0.1
+    capture_d = capture_a * (1.0 - capture_a) / 4.0
+    capture_u = solve_type(w("0a"), Params(capture_a, capture_d - 1e-4)).u
+    special = [
+        (_STRAY, _STRAY_P.a, _STRAY_P.d, 1e-3),
+        (np.array([0.25, 0.25]), 0.5, 1 / 64, 0.0),
+        (np.array([0.79, 0.79]), 0.5, 0.0, 0.0),
+        (capture_u, capture_a, capture_d + 1e-5, 1e-3),
+    ]
+    for n in (2, 5, 24):
+        rows = []
+        for _ in range(64):
+            a_k = rng.uniform(0.05, 0.95)
+            u_k = rng.choice([0.0, a_k, 1.0], size=n) + rng.normal(0.0, 0.05, size=n)
+            rows.append((u_k, a_k, rng.uniform(0.0, 0.06), rng.choice([0.0, 1e-3])))
+        if n == 2:
+            rows[5:5] = special
+        u, a, d, capture = (np.array(x) for x in zip(*rows))
+        roots, converged = gde._newton_core(u, a, d, capture)
+        assert converged.any() and not converged.all()
+        for k, row in enumerate(rows):
+            alone, ok = gde._newton_core(*(np.array([x]) for x in row))
+            assert ok[0] == converged[k]
+            assert alone[0].tobytes() == roots[k].tobytes()
 
 
 def test_march_measures_det_j_of_every_state_it_returns():
