@@ -200,14 +200,11 @@ def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     try:
         return np.linalg.solve(J, rhs[:, :, None])[:, :, 0], np.zeros(len(J), bool)
     except np.linalg.LinAlgError:
-        pass
+        # slogdet runs the same LAPACK getrf as solve, so it flags the same
+        # exact zero pivots; the other rows are solved in one batch
+        singular = np.linalg.slogdet(J)[0] == 0.0
     x = np.zeros_like(rhs)
-    singular = np.zeros(len(J), bool)
-    for k in range(len(J)):
-        try:
-            x[k] = np.linalg.solve(J[k], rhs[k])
-        except np.linalg.LinAlgError:
-            singular[k] = True
+    x[~singular] = np.linalg.solve(J[~singular], rhs[~singular, :, None])[:, :, 0]
     return x, singular
 
 

@@ -1,10 +1,12 @@
-"""Words over {0,1} and {0,a,1}, the symmetry groups acting on them, and
-orbit classes of all four groups, listed with their primitive periods by one
+"""Words over {0,a,1}, the symmetry groups acting on them, and orbit
+classes of all four groups, listed with their primitive periods by one
 vectorised sweep over the rotations of every word.
 
 A word of length n labels a candidate stationary pattern on an n-cycle:
 letter 0 or 1 pins a vertex to a stable root of the cubic nonlinearity,
-letter a to the unstable middle root. Four groups act on words:
+letter a to the unstable middle root. A word is its letters; an alphabet,
+a2 = {0,1} or a3 = {0,a,1}, is a parameter of listings and counts only, so
+the a2 listings hold exactly the a3 words without a. Four groups act:
 
 * rotations alone (cyclic),
 * rotations and the reversal of vertex order (dihedral),
@@ -79,29 +81,24 @@ class GroupKind(Enum):
 
 @dataclass(frozen=True, order=True)
 class Word:
-    """Immutable word; compares by letters, so sorting is the global order."""
+    """Immutable word, its letters alone: it compares by them in the global order."""
 
     letters: tuple[int, ...]
-    alphabet: str = A3
 
     def __post_init__(self):
-        _check_alphabet(self.alphabet)
         if len(self.letters) < 1:
             raise ValueError("words must have at least one letter")
-        allowed = _ALPHABET_LETTERS[self.alphabet]
         for x in self.letters:
-            if x not in allowed:
-                # name a known letter code by its character: code 1 is 'a'
-                shown = _CHAR_OF[x] if x in (ZERO, MID, ONE) else x
-                raise ValueError(f"letter {shown!r} not in alphabet {self.alphabet!r}")
+            if x not in _ALPHABET_LETTERS[A3]:
+                raise ValueError(f"letter {x!r} not in alphabet {A3!r}")
 
     @classmethod
-    def parse(cls, text: str, alphabet: str = A3) -> "Word":
+    def parse(cls, text: str) -> "Word":
         try:
             letters = tuple(_LETTER_OF[ch] for ch in text)
         except KeyError as exc:
             raise ValueError(f"bad letter {exc.args[0]!r} in word {text!r}") from None
-        return cls(letters, alphabet)
+        return cls(letters)
 
     @property
     def n(self) -> int:
@@ -118,17 +115,17 @@ def rotate(w: Word, steps: int = 1) -> Word:
     """Cyclic left shift: letter i of the result is letter i+steps of w."""
     n = len(w.letters)
     k = steps % n
-    return Word(w.letters[k:] + w.letters[:k], w.alphabet)
+    return Word(w.letters[k:] + w.letters[:k])
 
 
 def reflect(w: Word) -> Word:
     """Reverse the vertex order."""
-    return Word(w.letters[::-1], w.alphabet)
+    return Word(w.letters[::-1])
 
 
 def permute_values(w: Word) -> Word:
     """Swap letters 0 and 1, fix a."""
-    return Word(tuple(_SWAP[x] for x in w.letters), w.alphabet)
+    return Word(tuple(_SWAP[x] for x in w.letters))
 
 
 def _images(t: tuple[int, ...], group: GroupKind):
@@ -146,12 +143,12 @@ def _images(t: tuple[int, ...], group: GroupKind):
 
 def canonical(w: Word, group: GroupKind) -> Word:
     """Smallest image of w under the group, in the global word order."""
-    return Word(min(_images(w.letters, group)), w.alphabet)
+    return Word(min(_images(w.letters, group)))
 
 
 def orbit(w: Word, group: GroupKind) -> frozenset[Word]:
     """All distinct images of w under the group."""
-    return frozenset(Word(t, w.alphabet) for t in _images(w.letters, group))
+    return frozenset(Word(t) for t in _images(w.letters, group))
 
 
 @dataclass(frozen=True)
@@ -226,6 +223,7 @@ def _digits(codes: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def spell(codes: np.ndarray, n: int, alphabet: str = A3) -> list[str]:
     """The length-n words that codes stand for, as strings."""
+    _check_alphabet(alphabet)
     chars = np.array([_CHAR_OF[x] for x in _ALPHABET_LETTERS[alphabet]])
     return chars[_digits(codes, n, len(chars))].view(f"U{n}").ravel().tolist()
 
@@ -242,7 +240,7 @@ def enumerate_orbits(
     _, _, reps, sizes, periods = next(c for c in sweep_orbits(n, alphabet) if c[0] is group)
     letters = np.array(_ALPHABET_LETTERS[alphabet])
     words = letters[_digits(reps, n, len(letters))].tolist()
-    return [OrbitClass(Word(tuple(t), alphabet), group, size, period)
+    return [OrbitClass(Word(tuple(t)), group, size, period)
             for t, size, period in zip(words, sizes.tolist(), periods.tolist())]
 
 

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from nagumo_atlas import cli
+from nagumo_atlas import cli, counting, numtheory
+from nagumo_atlas.words import A3, GroupKind
 
 TABLE1_EXPECTED = {
     2: (3, 2, 2, 1),
@@ -388,6 +389,58 @@ def test_verify_seed_changes_sample_note_not_result(capsys):
                             "--seed", "2")
     assert code_a == code_b == 0
     assert "seed 1" in out_a and "seed 2" in out_b
+
+
+def test_verify_reports_each_failed_check(capsys, monkeypatch):
+    # one class count off by one fails the a3 d listing and the a3 divisor
+    # sums at n = 3; a wrong mobius(5) fails the identities from n = 5 on
+    real_count, real_mobius = counting.count, numtheory.mobius
+
+    def count(alphabet, n, group, aperiodic=False):
+        off = (alphabet, n, group, aperiodic) == (A3, 3, GroupKind.DIHEDRAL, False)
+        return real_count(alphabet, n, group, aperiodic) + off
+
+    monkeypatch.setattr(counting, "count", count)
+    monkeypatch.setattr(numtheory, "mobius", lambda n: real_mobius(n) + (n == 5))
+    code = cli.main(
+        ["verify", "--n-max-a2", "4", "--n-max-a3", "4", "--n-max", "12", "--seed", "1"]
+    )
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("MISMATCH")] == [
+        "MISMATCH: divisor-sum identities, n <= 12 plus 25 sampled (seed 1)",
+        "MISMATCH: formula vs enumeration, a3 d n <= 4",
+        "MISMATCH: aperiodic-root divisor sums, a3 n <= 64",
+    ]
+    assert err == (
+        "  first failing n: 5\n"
+        "  n=3: formula 11, enumerated 10\n"
+        "  group d at n=3\n"
+    )
+    assert out.splitlines()[-1] == "verify: 3 check(s) failed"
+
+
+@pytest.mark.parametrize(
+    "name, wrong, first",
+    [
+        # the identity sums are right, but their even and odd parts are not
+        ("convolution_identity_check", lambda real, n: real(n)[:1] + (1, 1), 2),
+        # n = 3 fails the sum's d = 3 term; n = 12 only the totient sum, since
+        # mobius(4) = 0 takes phi(3) out of its convolution
+        ("euler_phi", lambda real, n: real(n) + (n == 3), 3),
+    ],
+)
+def test_verify_reports_failed_identities(capsys, monkeypatch, name, wrong, first):
+    real = getattr(numtheory, name)
+    monkeypatch.setattr(numtheory, name, lambda n: wrong(real, n))
+    code = cli.main(["verify", "--identities-only", "--n-max", "12", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.splitlines() == [
+        "MISMATCH: divisor-sum identities, n <= 12 plus 25 sampled (seed 1)",
+        "verify: 1 check(s) failed",
+    ]
+    assert err == f"  first failing n: {first}\n"
 
 
 @pytest.mark.parametrize(

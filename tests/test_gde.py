@@ -258,6 +258,28 @@ def test_newton_rows_take_exactly_the_iterations_they_take_alone():
             assert alone[0].tobytes() == roots[k].tobytes()
 
 
+def test_solve_rows_matches_solving_each_row_alone():
+    # a batch with exactly singular rows must give every other row bitwise the
+    # solution np.linalg.solve gives it alone, and zeros and a flag where it raises
+    rng = np.random.default_rng(2801)
+    for n in (2, 5, 24):
+        J = rng.normal(size=(64, n, n))
+        rhs = rng.normal(size=(64, n))
+        J[[3, 17, 40], :, rng.integers(n)] = 0.0
+        J[41, rng.integers(n)] = 0.0
+        x, singular = gde._solve_rows(J, rhs)
+        assert singular.sum() == 4
+        for k in range(64):
+            try:
+                alone = np.linalg.solve(J[k], rhs[k])
+            except np.linalg.LinAlgError:
+                assert singular[k] and not x[k].any()
+            else:
+                assert not singular[k] and alone.tobytes() == x[k].tobytes()
+    x, singular = gde._solve_rows(np.zeros((3, 2, 2)), np.ones((3, 2)))
+    assert singular.all() and not x.any()
+
+
 def test_march_measures_det_j_of_every_state_it_returns():
     # 01 folds at 1/16, 0a meets the constant-a state at a(1-a)/4 = 0.06,
     # and aa's branch is exact, so its ray starts at the cap

@@ -2,12 +2,14 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracles
 from nagumo_atlas.words import (
     A2,
     A3,
+    MID,
     GroupKind,
     Word,
     canonical,
@@ -25,8 +27,8 @@ ALL_GROUPS = list(GroupKind)
 LETTERS = {A2: "01", A3: "0a1"}
 
 
-def w(text, alphabet=A3):
-    return Word.parse(text, alphabet)
+def w(text):
+    return Word.parse(text)
 
 
 def primitive_period(word):
@@ -46,14 +48,9 @@ def test_parse_rejects_unknown_letters():
 
 
 def test_alphabet_validation():
-    # a known letter code is named by its character, an unknown one by its repr
-    with pytest.raises(ValueError, match="^letter 'a' not in alphabet 'a2'$"):
-        Word.parse("0a1", A2)
+    # a word is its letters, checked against {0, a, 1}; an unknown code is named by its repr
     with pytest.raises(ValueError, match="^letter 7 not in alphabet 'a3'$"):
         Word((0, 7))
-    with pytest.raises(ValueError):
-        Word((0, 1), "a4")
-    assert Word.parse("0011", A2).alphabet == A2
 
 
 def test_empty_word_rejected():
@@ -88,9 +85,9 @@ def test_permute_values_examples():
 
 
 def test_permute_values_binary_alphabet():
-    flipped = permute_values(Word.parse("0011", A2))
+    flipped = permute_values(w("0011"))
     assert str(flipped) == "1100"
-    assert flipped.alphabet == A2
+    assert canonical(flipped, GroupKind.CYCLIC) in representatives(4, A2, GroupKind.CYCLIC, False)
 
 
 def test_primitive_period_examples():
@@ -182,7 +179,7 @@ def test_enumerate_orbits_partitions_all_words():
     for alphabet, n_hi in ((A2, 8), (A3, 6)):
         for n in range(1, n_hi + 1):
             every_word = [
-                w("".join(t), alphabet)
+                w("".join(t))
                 for t in itertools.product(LETTERS[alphabet], repeat=n)
             ]
             aperiodic = [x for x in every_word if primitive_period(x) == n]
@@ -221,7 +218,7 @@ def test_sweep_minima_are_canonical_forms():
     for alphabet, n_hi in ((A2, 8), (A3, 6)):
         for n in range(1, n_hi + 1):
             every_word = [
-                w("".join(t), alphabet)
+                w("".join(t))
                 for t in itertools.product(LETTERS[alphabet], repeat=n)
             ]
             for group, minima, *_ in sweep_orbits(n, alphabet):
@@ -258,6 +255,24 @@ def test_enumeration_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_binary_classes_are_the_ternary_classes_without_a():
+    # a word is its letters, so an a2 listing is the a3 one with the a-words left out
+    for n in range(1, 9):
+        for group in ALL_GROUPS:
+            assert enumerate_orbits(n, A2, group) == [
+                c for c in enumerate_orbits(n, A3, group) if MID not in c.representative.letters
+            ]
+            for lyndon in (False, True):
+                binary = representatives(n, A2, group, lyndon)
+                assert set(binary) <= set(representatives(n, A3, group, lyndon))
+    assert Word.parse("01") in representatives(2, A2)
+
+
+def test_spell_rejects_an_unknown_alphabet():
+    with pytest.raises(ValueError, match="^unknown alphabet 'a4'; expected 'a2' or 'a3'$"):
+        spell(np.array([0, 1]), 2, "a4")
 
 
 def test_size_guard():
