@@ -170,16 +170,12 @@ def _cmd_region(args) -> int:
     compare = None if args.compare is None else Word.parse(args.compare)
     if args.a_count < 1:
         raise ValueError(f"--a-count must be at least 1, got {args.a_count}")
-    if args.a_count == 1:
-        grid = [args.a_min]
-    else:
-        width = (args.a_max - args.a_min) / (args.a_count - 1)
-        grid = [args.a_min + i * width for i in range(args.a_count)]
+    if not np.isfinite([args.a_min, args.a_max]).all():  # np.linspace would spread a nan
+        raise ValueError(f"--a-min and --a-max must be finite, got {args.a_min}, {args.a_max}")
+    grid = np.linspace(args.a_min, args.a_max, args.a_count)
     with _csv_out(args.out) as out:
         base = regions.scan_region(word, grid, d_cap=args.d_cap)
-        other = None
-        if compare is not None:
-            other = regions.scan_region(compare, grid, d_cap=args.d_cap)
+        other = None if compare is None else regions.scan_region(compare, grid, d_cap=args.d_cap)
         header = ["word", "a", "d_max", "terminal"]
         if other is not None:
             header += ["word_b", "d_max_b", "terminal_b", "abs_dev"]

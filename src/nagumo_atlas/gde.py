@@ -300,25 +300,22 @@ class _Branches(NamedTuple):
     streak: np.ndarray  # accepted attempts in a row since the step last changed
 
 
-def _start(
-    words: list[Word], a: np.ndarray, d_cap: float
-) -> tuple[_Branches, np.ndarray, np.ndarray]:
+def _start(words: list[Word], a: np.ndarray, d_cap: float) -> tuple[_Branches, np.ndarray]:
     """Where the rays of the words at thresholds a begin, det J measured: at
     d = 0, or at d_cap for a constant word (no spread at d = 0), exact and
-    never marched. Also returns each ray's capture spread for _newton_core,
-    min(_HOMOG_SPREAD, half its d = 0 spread), and the constant words' mask.
+    never marched; and each ray's capture spread, min(_HOMOG_SPREAD, half its
+    d = 0 spread). A batch of one is recorded iff its ray starts below d_cap.
     """
     u = _decoupled_states(words, a)
     spread = u.max(axis=1) - u.min(axis=1)
-    constant = spread == 0.0
     capture = np.minimum(_HOMOG_SPREAD, 0.5 * spread)
-    d = np.where(constant, d_cap, 0.0)
+    d = np.where(spread == 0.0, d_cap, 0.0)
     sign, logdet0 = np.linalg.slogdet(_jacobians(u.T, a, d))
     rays = _Branches(
         d, u, sign, logdet0.copy(), logdet0,
         np.zeros_like(d, bool), np.full_like(d, _D_STEP_INIT), np.zeros_like(d, int),
     )
-    return rays, capture, constant
+    return rays, capture
 
 
 def _round(
@@ -365,13 +362,14 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
     constant word's ray starts at d_cap (_start). A threshold outside (0, 1),
     a word of one letter or words of two lengths raise ValueError first.
 
-    A batch of one of the last single ray's (word, a) starts from its record.
-    A round's outcome depends only on its starting state and its attempt, so
-    a recorded round is reused exactly when both caps clip its attempt
-    alike: the ray jumps to the first round they clip differently (to the
-    end, if none does) and marches on from there. Every answer is bitwise
-    what a fresh march gives. Another (word, a), or a larger cap, replaces
-    the record; constant words bypass it.
+    A batch of one is recorded exactly when its ray starts below its cap,
+    so a solve at d = 0 or of a constant word leaves the record alone; a
+    batch of one of the recorded (word, a) starts from it. A round's outcome
+    depends only on its starting state and its attempt, so a recorded round
+    is reused exactly when both caps clip its attempt alike: the ray jumps
+    to the first round they clip differently (to the end, if none does) and
+    marches on. Every answer is bitwise what a fresh march gives. Another
+    (word, a), or a larger cap, replaces the record.
     """
     global _last_ray
     bad = ~((0.0 < a) & (a < 1.0))
@@ -383,8 +381,8 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
     if len(lengths) > 1:
         raise ValueError("the words of one batch must share a length")
     key, rec_cap, rec = _last_ray  # read once: another thread may replace it
-    rays, capture, constant = _start(words, a, d_cap)
-    solo = len(words) == 1 and not constant[0]
+    rays, capture = _start(words, a, d_cap)
+    solo = len(words) == 1 and rays.d[0] < d_cap
     same = solo and key == (words[0], a[0])
     keep = solo and (not same or d_cap > rec_cap)
     states = [[] for _ in rays]  # round-start states and the end, by field

@@ -14,11 +14,11 @@ the a2 listings hold exactly the a3 words without a. Four groups act:
   (the "pi" variants).
 
 Letters are stored as small ints chosen so that tuple comparison is the
-global word order with 0 < a < 1. Canonical representatives are minima
-under that order, so enumeration output is deterministic. The sweep reads
-each word as a base-k integer code whose integer order is the same order;
-the value swap and the reversal then act on its array of rotation minima
-as two gathers (an index reversal and a transpose), not as further sweeps.
+global word order with 0 < a < 1. A canonical form is the least image that
+rotate, reflect and permute_values generate. The sweep reads each word as
+a base-k integer code whose integer order is the same order (spell is the
+one decoder of codes); the value swap and the reversal act on its array of
+rotation minima as two gathers (an index reversal and a transpose).
 """
 
 from __future__ import annotations
@@ -128,27 +128,24 @@ def permute_values(w: Word) -> Word:
     return Word(tuple(_SWAP[x] for x in w.letters))
 
 
-def _images(t: tuple[int, ...], group: GroupKind):
-    """Yield every image of t under the group (|G| items, repeats possible)."""
-    n = len(t)
-    variants = [t]
-    if group.reflects:
-        variants.append(t[::-1])
+def _images(w: Word, group: GroupKind):
+    """Yield every image of w under the group (|G| items, repeats possible)."""
+    variants = [w, reflect(w)] if group.reflects else [w]
     if group.swaps_values:
-        variants += [tuple(_SWAP[x] for x in v) for v in variants]
+        variants += [permute_values(v) for v in variants]
     for v in variants:
-        for k in range(n):
-            yield v[k:] + v[:k]
+        for k in range(len(w)):
+            yield rotate(v, k)
 
 
 def canonical(w: Word, group: GroupKind) -> Word:
     """Smallest image of w under the group, in the global word order."""
-    return Word(min(_images(w.letters, group)))
+    return min(_images(w, group))
 
 
 def orbit(w: Word, group: GroupKind) -> frozenset[Word]:
     """All distinct images of w under the group."""
-    return frozenset(Word(t) for t in _images(w.letters, group))
+    return frozenset(_images(w, group))
 
 
 @dataclass(frozen=True)
@@ -216,16 +213,12 @@ def sweep_orbits(n: int, alphabet: str = A3):
     yield classes(GroupKind.DIHEDRAL_PI, np.minimum(minima, minima[::-1]))
 
 
-def _digits(codes: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Letter indices of the length-n words that codes stand for, one row each."""
-    return codes[:, None] // k ** np.arange(n - 1, -1, -1, dtype=np.int32) % k
-
-
 def spell(codes: np.ndarray, n: int, alphabet: str = A3) -> list[str]:
     """The length-n words that codes stand for, as strings."""
     _check_alphabet(alphabet)
     chars = np.array([_CHAR_OF[x] for x in _ALPHABET_LETTERS[alphabet]])
-    return chars[_digits(codes, n, len(chars))].view(f"U{n}").ravel().tolist()
+    digits = codes[:, None] // len(chars) ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    return chars[digits % len(chars)].view(f"U{n}").ravel().tolist()
 
 
 def enumerate_orbits(
@@ -238,10 +231,8 @@ def enumerate_orbits(
     sweep, whose minima the swap and the reversal gather) as objects.
     Members are not stored; OrbitClass.members rebuilds them."""
     _, _, reps, sizes, periods = next(c for c in sweep_orbits(n, alphabet) if c[0] is group)
-    letters = np.array(_ALPHABET_LETTERS[alphabet])
-    words = letters[_digits(reps, n, len(letters))].tolist()
-    return [OrbitClass(Word(tuple(t)), group, size, period)
-            for t, size, period in zip(words, sizes.tolist(), periods.tolist())]
+    return [OrbitClass(Word.parse(t), group, size, period) for t, size, period
+            in zip(spell(reps, n, alphabet), sizes.tolist(), periods.tolist())]
 
 
 def representatives(

@@ -475,6 +475,38 @@ def test_usage_error_reports_its_message(capsys, argv, message):
 REGION_01 = ["region", "--word", "01", "--a-min", "0.4", "--a-max", "0.6", "--a-count", "1"]
 
 
+def test_region_grid_ends_exactly_at_a_max(capsys):
+    # 0.3 + 3 * ((0.9 - 0.3) / 3) is one ulp above 0.9; the last point is --a-max itself
+    code, out = run_cli(capsys, "region", "--word", "01", "--a-min", "0.3", "--a-max", "0.9",
+                        "--a-count", "4")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [row[1] for row in rows][::3] == ["0.3", "0.9"]
+    code, out = run_cli(capsys, *REGION_01)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [row[1] for row in rows] == ["0.4"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["orbits", "-n", "0"], "word length must be positive, got 0"),
+        (["region", "--word", "01", "--a-min", "0.4", "--a-max", "inf", "--a-count", "1"],
+         "--a-min and --a-max must be finite, got 0.4, inf"),
+        (["region", "--word", "01", "--a-min", "nan", "--a-max", "0.6", "--a-count", "3"],
+         "--a-min and --a-max must be finite, got nan, 0.6"),
+    ],
+)
+def test_orbits_of_no_letters_and_unbounded_region_grids_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"nagumo-atlas: error: {message}"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -60,6 +60,14 @@ def test_residual_two_site_doubled_edge():
     assert h == pytest.approx([0.2, -0.2], abs=1e-15)
 
 
+@pytest.mark.parametrize("u", [np.zeros((2, 2)), np.array([0.5]), 0.5])
+def test_residual_and_jacobian_reject_a_state_that_is_not_a_cycle(u):
+    message = "^state must be a 1-d array with at least two sites$"
+    for f in (residual, jacobian):
+        with pytest.raises(ValueError, match=message):
+            f(u, Params(0.5, 0.1))
+
+
 def test_jacobian_diagonal_at_zero_coupling():
     u = decoupled_state(w("0a1"), 0.4)
     J = jacobian(u, Params(0.4, 0.0))

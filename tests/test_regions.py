@@ -446,6 +446,26 @@ def test_queries_after_d_max_make_a_handful_of_corrections(monkeypatch):
         assert count(d_max, word, a) == 0
 
 
+def test_solves_that_never_march_leave_the_record_alone(monkeypatch):
+    # a solve at d = 0 and a constant word's solve start at their caps, so
+    # the replay record of the last ray (0a1 at 0.475) survives them
+    corrections = []
+    newton = regions.gde._newton_core
+
+    def counted(*args):
+        corrections.append(len(args[0]))
+        return newton(*args)
+
+    word, a = w("0a1"), 0.475
+    height, _ = d_max(word, a)
+    monkeypatch.setattr(regions.gde, "_newton_core", counted)
+    solve_type(w("0011"), Params(0.3, 0.0))
+    solve_type(w("aa"), Params(0.3, 0.02))
+    assert corrections == []
+    assert membership(word, Params(a, 1.01 * height + 1e-6)) is False
+    assert corrections == []
+
+
 def test_returned_states_share_no_memory_with_the_replayed_rounds():
     word, a = w("0a1"), 0.475
     _forget()

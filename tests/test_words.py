@@ -156,6 +156,12 @@ def test_group_orders():
     assert GroupKind.DIHEDRAL_PI.order(5) == 20
 
 
+def test_group_order_rejects_an_empty_word():
+    for group in ALL_GROUPS:
+        with pytest.raises(ValueError, match="^word length must be positive, got 0$"):
+            group.order(0)
+
+
 def test_enumerate_orbits_worked_examples():
     assert len(enumerate_orbits(3, A3, GroupKind.CYCLIC)) == 11
     assert len(enumerate_orbits(3, A3, GroupKind.CYCLIC_PI)) == 6

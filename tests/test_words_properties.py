@@ -53,6 +53,19 @@ def test_canonical_is_invariant_under_the_generators(word, group, steps):
 
 @settings(deadline=None)
 @given(random_words(), groups)
+def test_orbit_and_canonical_match_the_oracle_images(word, group):
+    # the images built from index maps and the letter swap, not from the
+    # generators rotate, reflect and permute_values that canonical composes
+    t, swap = word.letters, oracles.swap_map(3)
+    images = {tuple(t[i] for i in m) for m in oracles.position_maps(len(t), group.reflects)}
+    if group.swaps_values:
+        images |= {tuple(swap[x] for x in image) for image in images}
+    assert {image.letters for image in orbit(word, group)} == images
+    assert canonical(word, group).letters == min(images)
+
+
+@settings(deadline=None)
+@given(random_words(), groups)
 def test_canonical_is_idempotent(word, group):
     rep = canonical(word, group)
     assert canonical(rep, group) == rep
