@@ -21,7 +21,6 @@ import contextlib
 import csv
 import json
 import random
-import re
 import sys
 from typing import Optional, Sequence
 
@@ -31,25 +30,7 @@ from . import counting, numtheory, regions
 from .gde import Params, SolveError, solve_type
 from .words import A2, A3, GroupKind, Word, enumeration_limit, spell, sweep_orbits
 
-_GROUP_TOKEN = re.compile(r"^(c|d)(\d+)?(pi)?$")
-
 _N_MAX_LIMIT = 64
-
-
-def _parse_group(token: str, n: int) -> GroupKind:
-    """Turn a token like c3, d6pi, cpi into a GroupKind; the embedded
-    length, when present, must match the word length."""
-    m = _GROUP_TOKEN.match(token.lower())
-    if m is None:
-        raise ValueError(
-            f"bad group token {token!r}; expected forms like c3, d3, c3pi, d3pi"
-        )
-    letter, digits, pi = m.groups()
-    if digits is not None and int(digits) != n:
-        raise ValueError(f"group token {token!r} names length {digits}, but -n is {n}")
-    if letter == "c":
-        return GroupKind.CYCLIC_PI if pi else GroupKind.CYCLIC
-    return GroupKind.DIHEDRAL_PI if pi else GroupKind.DIHEDRAL
 
 
 def _csv_out(path: Optional[str]):
@@ -116,7 +97,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_orbits(args) -> int:
     n, alphabet = args.n, args.alphabet
-    group = _parse_group(args.group, n)
+    group = GroupKind(args.group)
     _, minima, reps, sizes, periods = next(
         c for c in sweep_orbits(n, alphabet) if c[0] is group
     )
@@ -300,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbits = sub.add_parser("orbits", help="orbit classes, one per line")
     p_orbits.add_argument("-n", type=int, required=True, help="word length")
     p_orbits.add_argument("--alphabet", choices=[A2, A3], default=A3)
-    p_orbits.add_argument("--group", default="dpi",
-                          help="symmetry group token: c, d, cpi, dpi, "
-                          "optionally with the length, e.g. c3 or d6pi")
+    p_orbits.add_argument("--group", choices=[g.value for g in GroupKind], default="dpi",
+                          help="symmetry group: c rotations, d rotations and "
+                          "reflections; pi adds the value swap 0 <-> 1")
     p_orbits.add_argument("--lyndon", action="store_true",
                           help="aperiodic classes only")
     p_orbits.add_argument("--full", action="store_true",

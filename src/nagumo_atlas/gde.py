@@ -417,16 +417,3 @@ def solve_type(word: Word, p: Params) -> Equilibrium:
         raise NotInRegion(word, p, d_reached=float(end.d[0]))
     return _build_equilibrium(word, end.u[0], p, end.sign[0], bool(end.flipped[0]))
 
-
-def lde_residual_check(eq: Equilibrium, window_periods: int = 3) -> float:
-    """Max residual of the infinite periodic extension over a window.
-
-    Repeating the cycle state n-periodically gives a candidate stationary
-    state of the doubly infinite chain with the same a and d; by
-    periodicity, checking window_periods copies with wraparound neighbours
-    is exact. Returns the max-norm residual over the window.
-    """
-    if window_periods < 1:
-        raise ValueError("window must cover at least one period")
-    r = residual(np.tile(eq.u, window_periods), eq.params)
-    return float(np.max(np.abs(r)))

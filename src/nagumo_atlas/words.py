@@ -100,10 +100,6 @@ class Word:
             raise ValueError(f"bad letter {exc.args[0]!r} in word {text!r}") from None
         return cls(letters)
 
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -151,16 +147,12 @@ def orbit(w: Word, group: GroupKind) -> frozenset[Word]:
 @dataclass(frozen=True)
 class OrbitClass:
     """One orbit, held as its minimum, with the primitive period of every
-    member (the group actions preserve it); members are rebuilt on demand."""
+    member (the group actions preserve it); its members are orbit(representative, group)."""
 
     representative: Word
     group: GroupKind
     size: int
     period: int
-
-    @property
-    def members(self) -> frozenset[Word]:
-        return orbit(self.representative, self.group)
 
 
 def enumeration_limit(alphabet: str) -> int:
@@ -229,7 +221,9 @@ def enumerate_orbits(
     """Partition words of length n into group orbits, sorted by
     representative: the group's classes from sweep_orbits (one rotation
     sweep, whose minima the swap and the reversal gather) as objects.
-    Members are not stored; OrbitClass.members rebuilds them."""
+    Members are not stored; orbit(c.representative, group) lists them."""
+    if not isinstance(group, GroupKind):
+        raise ValueError(f"unknown group {group!r}; expected a GroupKind")
     _, _, reps, sizes, periods = next(c for c in sweep_orbits(n, alphabet) if c[0] is group)
     return [OrbitClass(Word.parse(t), group, size, period) for t, size, period
             in zip(spell(reps, n, alphabet), sizes.tolist(), periods.tolist())]

@@ -10,6 +10,7 @@ import io
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 import oracles
@@ -22,7 +23,7 @@ from nagumo_atlas.counting import (
     permuted_bracelets,
     permuted_necklaces,
 )
-from nagumo_atlas.gde import Params, lde_residual_check, solve_type
+from nagumo_atlas.gde import Params, residual, solve_type
 from nagumo_atlas.numtheory import (
     convolution_identity_check,
     divisors,
@@ -176,4 +177,4 @@ def test_criterion_10_periodic_extension_residuals():
     with budget(5.0):
         for text in texts:
             eq = solve_type(Word.parse(text), p)
-            assert lde_residual_check(eq, window_periods=5) <= 1e-12
+            assert np.max(np.abs(residual(np.tile(eq.u, 5), p))) <= 1e-12

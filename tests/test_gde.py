@@ -13,7 +13,6 @@ from nagumo_atlas.gde import (
     cubic_deriv,
     decoupled_state,
     jacobian,
-    lde_residual_check,
     residual,
     solve_type,
 )
@@ -454,13 +453,19 @@ def test_det_sign_matches_an_independent_determinant():
     assert {eq.det_sign for eq in solved} == {-1, 1}
 
 
-def test_lde_residual_of_periodic_extension():
-    p = Params(0.475, 0.025)
-    eq = solve_type(w("0a1"), p)
-    assert lde_residual_check(eq, window_periods=3) <= 1e-12
-    assert lde_residual_check(solve_type(w("00"), p), window_periods=4) == 0.0
-    with pytest.raises(ValueError):
-        lde_residual_check(eq, window_periods=0)
+def test_residual_of_a_tiled_state_is_the_tiled_residual():
+    # a state of the n-cycle repeated w times is a state of the wn-cycle, and
+    # its residual there is the n-cycle residual repeated, bit for bit (the
+    # n = 2 cycle's doubled edge included), so a cycle state's residual is
+    # already that of its periodic extension to the infinite lattice
+    rng = np.random.default_rng(3001)
+    for n in range(2, 9):
+        for _ in range(5):
+            u = rng.uniform(-0.1, 1.1, n)
+            p = Params(rng.uniform(0.05, 0.95), rng.uniform(0.0, 0.3))
+            for periods in range(1, 6):
+                tiled = residual(np.tile(u, periods), p)
+                assert tiled.tobytes() == np.tile(residual(u, p), periods).tobytes()
 
 
 def test_stability_mismatch_is_detected():

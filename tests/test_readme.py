@@ -52,11 +52,11 @@ def test_library_example_returns_what_its_comments_say():
     assert member is True
 
 
-def _module(*args):
-    """Run `python -m nagumo_atlas` on this checkout's sources."""
+def _module(module, *args):
+    """Run `python -m module` on this checkout's sources."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "nagumo_atlas", *args],
+        [sys.executable, "-m", module, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -64,9 +64,11 @@ def _module(*args):
     )
 
 
-def test_module_entry_point_prints_the_readme_table_and_exits_2_on_bad_input():
+# the package and its cli module are both documented entry points
+@pytest.mark.parametrize("module", ["nagumo_atlas", "nagumo_atlas.cli"])
+def test_module_entry_point_prints_the_readme_table_and_exits_2_on_bad_input(module):
     args, shown = EXAMPLES[0]
     assert args == "count --n-max 4 --table1"
-    done = _module(*shlex.split(args))
+    done = _module(module, *shlex.split(args))
     assert (done.returncode, done.stdout) == (0, shown)
-    assert _module("count", "--n-max", "0").returncode == 2
+    assert _module(module, "count", "--n-max", "0").returncode == 2

@@ -146,7 +146,7 @@ def test_orbit_size_divides_group_order():
     for group in ALL_GROUPS:
         for text in ["01", "0a", "0011", "0a1", "aaa", "0101"]:
             word = w(text)
-            assert group.order(word.n) % len(orbit(word, group)) == 0
+            assert group.order(len(word)) % len(orbit(word, group)) == 0
 
 
 def test_group_orders():
@@ -195,9 +195,8 @@ def test_enumerate_orbits_partitions_all_words():
                     classes = [c for c in every_class if not lyndon or c.period == n]
                     listed = aperiodic if lyndon else every_word
                     for c in classes:
-                        assert c.members == orbit(c.representative, c.group)
                         assert c.group is group
-                        assert c.size == len(c.members)
+                        assert c.size == len(orbit(c.representative, group))
                     assert sum(c.size for c in classes) == len(listed)
                     reps = [c.representative for c in classes]
                     assert reps == sorted({canonical(x, group) for x in listed})
@@ -286,6 +285,15 @@ def test_size_guard():
         enumerate_orbits(40, A2, GroupKind.CYCLIC)
     with pytest.raises(ValueError):
         enumerate_orbits(20, A3, GroupKind.DIHEDRAL_PI)
+
+
+def test_listings_reject_a_group_that_is_not_a_group_kind():
+    # a group token is not a group: the listings name it instead of
+    # letting the group pick run dry
+    with pytest.raises(ValueError, match="^unknown group 'dpi'; expected a GroupKind$"):
+        enumerate_orbits(3, A3, "dpi")
+    with pytest.raises(ValueError, match="^unknown group None; expected a GroupKind$"):
+        representatives(3, A3, None)
 
 
 def test_images_preserve_primitive_period():

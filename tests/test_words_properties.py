@@ -74,7 +74,7 @@ def test_canonical_is_idempotent(word, group):
 @settings(deadline=None)
 @given(random_words(), groups)
 def test_canonical_is_a_listed_representative(word, group):
-    sizes = _sizes_by_representative(word.n, A2 if MID not in word.letters else A3, group)
+    sizes = _sizes_by_representative(len(word), A2 if MID not in word.letters else A3, group)
     rep = canonical(word, group)
     assert rep in sizes
     assert sizes[rep] == len(orbit(word, group))
@@ -85,5 +85,5 @@ def test_canonical_is_a_listed_representative(word, group):
 def test_class_period_is_every_members_period(alphabet, group, n):
     classes = enumerate_orbits(n, alphabet, group)
     for c in classes:
-        assert all(oracles.primitive_period(m.letters) == c.period for m in c.members)
+        assert all(oracles.primitive_period(m.letters) == c.period for m in orbit(c.representative, group))
     assert sum(c.period == n for c in classes) == count(alphabet, n, group, True)
