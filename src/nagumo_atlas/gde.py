@@ -96,8 +96,6 @@ class NotInRegion(SolveError):
             f"pattern {word} at a={params.a} stops near d={d_reached:.6g}, "
             f"short of requested d={params.d:.6g}"
         )
-        self.word = word
-        self.params = params
         self.d_reached = d_reached
 
 
@@ -109,7 +107,7 @@ class Params:
     d: float
 
     def __post_init__(self):
-        if not (0.0 < self.a < 1.0) or not math.isfinite(self.a):
+        if not 0.0 < self.a < 1.0:
             raise ValueError(f"threshold a must lie strictly in (0, 1), got {self.a}")
         if self.d < 0.0 or not math.isfinite(self.d):
             raise ValueError(f"coupling d must be finite and >= 0, got {self.d}")
@@ -117,9 +115,7 @@ class Params:
 
 @dataclass(eq=False)
 class Equilibrium:
-    word: Word
     u: np.ndarray
-    params: Params
     det_sign: int
     stable: bool
     residual_norm: float
@@ -277,14 +273,7 @@ def _build_equilibrium(
                 f"spectrum says stable={eig_stable} at a={p.a}, d={p.d}, "
                 f"with no determinant sign change to account for it"
             )
-    return Equilibrium(
-        word=word,
-        u=u,
-        params=p,
-        det_sign=int(sign),
-        stable=eig_stable,
-        residual_norm=rmax,
-    )
+    return Equilibrium(u=u, det_sign=int(sign), stable=eig_stable, residual_norm=rmax)
 
 
 class _Branches(NamedTuple):

@@ -41,7 +41,6 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
     """Moebius function: 0 unless n is squarefree, else (-1)^(prime count)."""
-    _check_positive(n)
     sign = 1
     for _, e in _factorize(n):
         if e > 1:
@@ -53,7 +52,6 @@ def mobius(n: int) -> int:
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler totient: count of 1..n coprime to n."""
-    _check_positive(n)
     result = n
     for p, _ in _factorize(n):
         result -= result // p
@@ -75,7 +73,6 @@ def convolution_identity_check(n: int) -> tuple[int, int, int]:
     mobius(n); for even n the even and odd parts are -mobius(n) and
     2*mobius(n). Callers assert those identities; this function just sums.
     """
-    _check_positive(n)
     s_all = s_even = s_odd = 0
     for d in divisors(n):
         q = n // d

@@ -62,8 +62,6 @@ class BoundarySample:
 
 @dataclass
 class RegionBoundary:
-    word: Word
-    d_cap: float
     samples: list[BoundarySample]
 
 
@@ -130,14 +128,13 @@ def scan_region(
     if workers not in (None, 1):
         raise ValueError(f"scan_region runs in one process, got workers={workers}")
     samples = _march([(word, a) for a in grid], d_cap)
-    return RegionBoundary(word=word, d_cap=d_cap, samples=samples)
+    return RegionBoundary(samples)
 
 
 @dataclass
 class SymmetryReport:
     """Largest |d_max difference| seen for each generator of the symmetries."""
 
-    word: Word
     rotation_dev: float
     reflection_dev: float
     mirror_dev: float
@@ -159,9 +156,4 @@ def verify_region_symmetries(word: Word, a_grid: Sequence[float]) -> SymmetryRep
     def dev(other):
         return float(np.max(np.abs(other - base), initial=0.0))
 
-    return SymmetryReport(
-        word=word,
-        rotation_dev=dev(rot),
-        reflection_dev=dev(refl),
-        mirror_dev=dev(mir),
-    )
+    return SymmetryReport(dev(rot), dev(refl), dev(mir))

@@ -146,11 +146,11 @@ def orbit(w: Word, group: GroupKind) -> frozenset[Word]:
 
 @dataclass(frozen=True)
 class OrbitClass:
-    """One orbit, held as its minimum, with the primitive period of every
-    member (the group actions preserve it); its members are orbit(representative, group)."""
+    """One orbit of the group enumerate_orbits was given, held as its
+    minimum, with the primitive period of every member (the group actions
+    preserve it); its members are orbit(representative, group)."""
 
     representative: Word
-    group: GroupKind
     size: int
     period: int
 
@@ -225,7 +225,7 @@ def enumerate_orbits(
     if not isinstance(group, GroupKind):
         raise ValueError(f"unknown group {group!r}; expected a GroupKind")
     _, _, reps, sizes, periods = next(c for c in sweep_orbits(n, alphabet) if c[0] is group)
-    return [OrbitClass(Word.parse(t), group, size, period) for t, size, period
+    return [OrbitClass(Word.parse(t), size, period) for t, size, period
             in zip(spell(reps, n, alphabet), sizes.tolist(), periods.tolist())]
 
 

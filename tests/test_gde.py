@@ -128,12 +128,12 @@ def test_decoupled_state_letters():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        Params(0.0, 0.1)
-    with pytest.raises(ValueError):
-        Params(1.0, 0.1)
-    with pytest.raises(ValueError):
-        Params(0.5, -0.01)
+    for a in (0.0, 1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^threshold a must lie strictly in \(0, 1\)"):
+            Params(a, 0.1)
+    for d in (-0.01, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^coupling d must be finite and >= 0"):
+            Params(0.5, d)
     assert Params(0.5, 0.0).d == 0.0
 
 
@@ -445,12 +445,25 @@ def test_det_sign_matches_an_independent_determinant():
         word = Word(tuple(rng.choice((0, 1, 2)) for _ in range(rng.randint(2, 8))))
         p = Params(rng.uniform(0.05, 0.95), rng.uniform(0.0, 0.06))
         try:
-            solved.append(solve_type(word, p))
+            solved.append((p, solve_type(word, p)))
         except NotInRegion:
             pass
-    for eq in solved:
-        assert eq.det_sign == np.linalg.slogdet(jacobian(eq.u, eq.params))[0]
-    assert {eq.det_sign for eq in solved} == {-1, 1}
+    for p, eq in solved:
+        assert eq.det_sign == np.linalg.slogdet(jacobian(eq.u, p))[0]
+    assert {eq.det_sign for _, eq in solved} == {-1, 1}
+
+
+def test_mirror_doubled_words_give_mirror_symmetric_states():
+    # a pattern w on the path of m sites with no-flux ends is the pattern
+    # w + reverse(w) on the 2m-cycle, whose states read the same backwards.
+    # Measured worst |u - u[::-1]| over these 40 words: 1.1e-16
+    rng = random.Random(3102)
+    for _ in range(40):
+        half = tuple(rng.choice((0, 1, 2)) for _ in range(rng.randint(2, 6)))
+        word, a = Word(half + half[::-1]), rng.uniform(0.05, 0.95)
+        height, _ = d_max(word, a)
+        u = solve_type(word, Params(a, 0.5 * height)).u
+        assert np.max(np.abs(u - u[::-1])) <= 1e-15, (word, a)
 
 
 def test_residual_of_a_tiled_state_is_the_tiled_residual():

@@ -73,7 +73,15 @@ def test_convolution_collapses_to_mobius():
             assert s_odd == 2 * mu
 
 
-@pytest.mark.parametrize("func", [numtheory.mobius, numtheory.euler_phi, numtheory.divisors])
+@pytest.mark.parametrize(
+    "func",
+    [
+        numtheory.mobius,
+        numtheory.euler_phi,
+        numtheory.divisors,
+        numtheory.convolution_identity_check,
+    ],
+)
 def test_nonpositive_rejected(func):
     with pytest.raises(ValueError):
         func(0)

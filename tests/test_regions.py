@@ -300,12 +300,43 @@ def test_heights_positive_and_bounded():
         assert math.isfinite(sample.det_ratio)
 
 
-@pytest.mark.parametrize("text, a", [("a001aa111", 0.275), ("000a1a0a1", 0.7)])
+# cells whose images' heights still differ, each a strict xfail below
+_IMAGE_DEVIATIONS = [
+    pytest.param(
+        "0aa10",
+        0.75,
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="rotation image aa100 stops 1.288e-6 below 0aa10's 0.0136720; "
+            "ROADMAP item 16 ends a ray where its state gains a symmetry its word lacks",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, a", [("a001aa111", 0.275), ("000a1a0a1", 0.7)] + _IMAGE_DEVIATIONS
+)
 def test_images_of_longer_words_agree(text, a):
     # a wandering correction once hopped one image's ray onto a sibling
     # branch: a001aa111 deviated by 1.27e-3 under reflection and swap,
     # 000a1a0a1 by 1.79e-3 under swap
     assert verify_region_symmetries(w(text), [a]).max_dev <= 1e-8
+
+
+def test_images_of_seeded_longer_words_agree():
+    # 0aa10 and 32 seeded words, four of each length 5-12, at every k/40;
+    # a cell of _IMAGE_DEVIATIONS is checked by its own strict xfail
+    rng = random.Random(3103)
+    lengths = [5 + k * 7 // 31 for k in range(32)]
+    texts = ["0aa10"] + ["".join(rng.choice("0a1") for _ in range(n)) for n in lengths]
+    deviating = {tuple(cell.values) for cell in _IMAGE_DEVIATIONS}
+    start = time.perf_counter()
+    for text in texts:
+        grid = [k / 40.0 for k in range(1, 40) if (text, k / 40.0) not in deviating]
+        assert verify_region_symmetries(w(text), grid).max_dev <= 1e-8, text
+    # 2.4-2.7 s measured on 2 cores
+    assert time.perf_counter() - start < 20.0
 
 
 def test_solves_below_the_height_of_a_pair_crossing_succeed():
