@@ -34,13 +34,15 @@ of them stop by one rule: a ray ends when it reaches its cap or when its
 step falls below _D_STEP_MIN, and the last d it accepted is how far the
 branch reaches. The march moves a stack of branches in lockstep, one row
 per (word, a) ray, through one Newton correction per round, and each ray
-keeps its own step. The correction iterates on a sites-major (n, B) copy,
-rays along the contiguous axis, and every row still takes exactly the
-iterations it would take alone (batched LAPACK factors each matrix on its
-own), so a ray ends where it would end alone. It checks its rays once,
-first, and measures det J by one slogdet per accepted state and one at
-each ray's start. A batch of one of the last single ray's (word, a)
-jumps through its recorded rounds to the first one its cap attempts
+keeps its own step. A lone ray corrects its step and two halvings at once,
+so one correction settles its rounds up to its first accepted attempt.
+The correction iterates on a sites-major (n, B) copy, rays along the
+contiguous axis, and every row still takes exactly the iterations it
+would take alone (batched LAPACK factors each matrix on its own), so a
+ray ends where it would end alone. It checks its rays once, first, and
+measures det J by one slogdet per converged attempt and one at each
+ray's start. A batch of one of the last single ray's (word, a) jumps
+through its recorded rounds to the first one its cap attempts
 differently (_march): a query after d_max corrects little, and answers
 as a fresh march would.
 
@@ -78,6 +80,8 @@ _D_STEP_INIT = 1e-3
 _D_STEP_MIN = 1e-10
 # a marching ray's step doubles after this many accepted attempts in a row
 _REGROW_AFTER = 2
+# a lone ray corrects its step and its next _LADDER - 1 halvings at once
+_LADDER = 3
 
 
 class SolveError(Exception):
@@ -128,7 +132,12 @@ def cubic(s, a: float):
 
 def cubic_deriv(s, a: float):
     """d/ds of cubic(s, a)."""
-    return (-3.0 * s + 2.0 * (1.0 + a)) * s - a
+    return _cubic_deriv(s, a, 2.0 * (1.0 + a))
+
+
+def _cubic_deriv(s, a, twice_1a):
+    """cubic_deriv(s, a), given 2(1 + a)."""
+    return (-3.0 * s + twice_1a) * s - a
 
 
 def _as_state(u) -> np.ndarray:
@@ -157,15 +166,19 @@ def _adjacency(n: int) -> np.ndarray:
 def _residuals(u: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """residual() of each column of the sites-major (n, B) stack u at a[k], d[k]."""
     left, right = _neighbours(len(u))
-    return d * (u[left] - 2.0 * u + u[right]) + cubic(u, a)
+    return d * (u.take(left, axis=0) - 2.0 * u + u.take(right, axis=0)) + cubic(u, a)
 
 
 def _jacobians(u: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """jacobian() of each column of the sites-major (n, B) stack u, as a
     (B, n, n) stack: d times the cycle's adjacency, diagonal f'(u) - 2d."""
+    return _diagonal(d[:, None, None] * _adjacency(len(u)), u, a, 2.0 * (1.0 + a), 2.0 * d)
+
+
+def _diagonal(J: np.ndarray, u: np.ndarray, a, twice_1a, twice_d) -> np.ndarray:
+    """J with each J[k]'s diagonal overwritten by f'(u[:, k]) - 2d[k]."""
     n = len(u)
-    J = d[:, None, None] * _adjacency(n)
-    J.reshape(-1, n * n)[:, :: n + 1] = (cubic_deriv(u, a) - 2.0 * d).T
+    J.reshape(-1, n * n)[:, :: n + 1] = (_cubic_deriv(u, a, twice_1a) - twice_d).T
     return J
 
 
@@ -221,28 +234,31 @@ def _newton_core(
     _MAX_NEWTON_ITERS updates. It iterates on a sites-major (n, B) copy of u,
     so its reductions run along the contiguous axis. A row leaves as soon as
     it converges or stops, so it still takes exactly the iterations it
-    would take alone.
+    would take alone. The stack of d·A is built once, and each iteration
+    rewrites only its diagonal.
     """
     roots, converged = np.empty_like(u), np.zeros(len(u), bool)
     u = start = np.ascontiguousarray(u.T)
+    J, twice_1a, twice_d = d[:, None, None] * _adjacency(len(u)), 2.0 * (1.0 + a), 2.0 * d
     rows, stop = np.arange(len(roots)), np.zeros(len(roots), bool)
     for it in range(_MAX_NEWTON_ITERS + 1):
         r = _residuals(u, a, d)
         norm = np.abs(r).max(axis=0)
         if it >= 2:
             stop |= norm > last
-        done = (norm <= _NEWTON_TOL) & ~stop
-        converged[rows[done]] = True
-        out = done | stop | (it == _MAX_NEWTON_ITERS)
+        out = (norm <= _NEWTON_TOL) | stop | (it == _MAX_NEWTON_ITERS)
         if out.any():
+            converged[rows[out]] = (norm[out] <= _NEWTON_TOL) & ~stop[out]
             roots[rows[out]] = u[:, out].T
+            if out.all():
+                break
             keep = np.flatnonzero(~out)
-            u, start, r = u[:, keep], start[:, keep], r[:, keep]
-            a, d, capture, rows, norm = (x[keep] for x in (a, d, capture, rows, norm))
-        if not rows.size:
-            break
+            u, start, r = (x.take(keep, axis=1) for x in (u, start, r))
+            J, a, d, twice_1a, twice_d, capture, rows, norm = (
+                x.take(keep, axis=0) for x in (J, a, d, twice_1a, twice_d, capture, rows, norm)
+            )
         last = norm
-        du, singular = _solve_rows(_jacobians(u, a, d), -r.T)
+        du, singular = _solve_rows(_diagonal(J, u, a, twice_1a, twice_d), -r.T)
         u = u + du.T
         stop = singular | (np.abs(u - start).max(axis=0) > _MAX_CORRECTOR_JUMP)
         stop |= u.max(axis=0) - u.min(axis=0) < capture
@@ -289,53 +305,61 @@ class _Branches(NamedTuple):
     streak: np.ndarray  # accepted attempts in a row since the step last changed
 
 
-def _start(words: list[Word], a: np.ndarray, d_cap: float) -> tuple[_Branches, np.ndarray]:
-    """Where the rays of the words at thresholds a begin, det J measured: at
-    d = 0, or at d_cap for a constant word (no spread at d = 0), exact and
-    never marched; and each ray's capture spread, min(_HOMOG_SPREAD, half its
-    d = 0 spread). A batch of one is recorded iff its ray starts below d_cap.
-    """
-    u = _decoupled_states(words, a)
-    spread = u.max(axis=1) - u.min(axis=1)
-    capture = np.minimum(_HOMOG_SPREAD, 0.5 * spread)
-    d = np.where(spread == 0.0, d_cap, 0.0)
+def _start(u: np.ndarray, a: np.ndarray, d: np.ndarray) -> _Branches:
+    """Rays from the d = 0 states u, a (B, n) stack, begun at d with det J
+    measured there: d = 0, or the cap for a constant word (no spread at d =
+    0), exact and never marched."""
     sign, logdet0 = np.linalg.slogdet(_jacobians(u.T, a, d))
-    rays = _Branches(
+    return _Branches(
         d, u, sign, logdet0.copy(), logdet0,
         np.zeros_like(d, bool), np.full_like(d, _D_STEP_INIT), np.zeros_like(d, int),
     )
-    return rays, capture
 
 
 def _round(
-    rays: _Branches, live: np.ndarray, a: np.ndarray, capture: np.ndarray, d_cap: float
+    rays: _Branches, live: np.ndarray, a: np.ndarray, capture: np.ndarray, d_cap: float,
+    depth: int, trail: list | None,
 ) -> None:
-    """Attempt one step on each live ray, in place.
+    """Attempt a step on each live ray, in place, with its next depth - 1
+    halvings not below _D_STEP_MIN (_LADDER for a lone ray, 1 for a batch).
 
-    A step is rejected where _newton_core stops its row or det J is exactly
-    singular there, found by one batched slogdet over the converged rows. A
-    rejected step halves; _REGROW_AFTER accepted ones in a row double it,
-    never beyond _D_STEP_INIT. A ray's new state depends only on its state
-    and its attempt, so _march may jump over recorded rounds.
+    An attempt is rejected where _newton_core stops its row or det J is
+    exactly singular there (one slogdet over the converged rows). A ray takes
+    its first accepted attempt, and each before it is a rejected round, whose
+    start a lone ray's trail gets. A rejected step halves; _REGROW_AFTER
+    accepted ones in a row double it, never beyond _D_STEP_INIT. Outcomes
+    depend only on the ray's state and attempt, so every depth marches alike
+    and _march may jump over recorded rounds.
     """
-    d_try = np.minimum(rays.d[live] + rays.step[live], d_cap)
-    u_new, ok = _newton_core(rays.u[live], a[live], d_try, capture[live])
-    sign_new, logdet_new = np.zeros((2, live.size))
-    J = _jacobians(u_new[ok].T, a[live[ok]], d_try[ok])
+    steps = rays.step[live][:, None] * 0.5 ** np.arange(depth)
+    tries = steps >= _D_STEP_MIN  # a prefix of each ray's attempts, never empty
+    m = tries.sum(axis=1)
+    ray = np.repeat(live, m)  # the ray of each attempt
+    d_try = np.minimum(rays.d[ray] + steps[tries], d_cap)
+    u_new, ok = _newton_core(rays.u[ray], a[ray], d_try, capture[ray])
+    sign_new, logdet_new = np.zeros((2, ray.size))
+    J = _jacobians(u_new[ok].T, a[ray[ok]], d_try[ok])
     sign_new[ok], logdet_new[ok] = np.linalg.slogdet(J)
-    accepted = sign_new != 0.0
-    won, lost = live[accepted], live[~accepted]
-    rays.u[won] = u_new[accepted]
-    rays.flipped[won] |= sign_new[accepted] != rays.sign[won]
-    rays.sign[won] = sign_new[accepted]
-    rays.logdet[won] = logdet_new[accepted]
-    rays.d[won] = d_try[accepted]
+    accepted = np.zeros(tries.shape, bool)
+    accepted[tries] = sign_new != 0.0
+    won = accepted.any(axis=1)
+    halvings = np.where(won, accepted.argmax(axis=1), m)
+    for i in range(1, halvings[0] + won[0]) if trail is not None else ():
+        start = rays._replace(step=steps[0, i:], streak=np.zeros(1, int))
+        trail.append([x[0].copy() for x in start])
+    rays.step[live] *= 0.5**halvings
+    rays.streak[live[halvings > 0]] = 0
+    row = (m.cumsum() - m + halvings)[won]
+    won = live[won]
+    rays.u[won] = u_new[row]
+    rays.flipped[won] |= sign_new[row] != rays.sign[won]
+    rays.sign[won] = sign_new[row]
+    rays.logdet[won] = logdet_new[row]
+    rays.d[won] = d_try[row]
     rays.streak[won] += 1
-    rays.streak[lost] = 0
     grow = won[rays.streak[won] == _REGROW_AFTER]
     rays.step[grow] = np.minimum(2.0 * rays.step[grow], _D_STEP_INIT)
     rays.streak[grow] = 0
-    rays.step[lost] *= 0.5
 
 
 # ((word, a), d_cap, record) of the last single-ray march: the record stacks
@@ -348,8 +372,10 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
 
     A ray ends when it reaches d_cap or when its step falls below
     _D_STEP_MIN, always correcting from its last accepted state (_round); a
-    constant word's ray starts at d_cap (_start). A threshold outside (0, 1),
-    a word of one letter or words of two lengths raise ValueError first.
+    constant word's ray starts at d_cap (_start). A lone ray corrects its
+    step and two halvings at once, so it takes fewer rounds to the same end.
+    A threshold outside (0, 1), a word of one letter or words of two lengths
+    raise ValueError first.
 
     A batch of one is recorded exactly when its ray starts below its cap,
     so a solve at d = 0 or of a constant word leaves the record alone; a
@@ -370,27 +396,31 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
     if len(lengths) > 1:
         raise ValueError("the words of one batch must share a length")
     key, rec_cap, rec = _last_ray  # read once: another thread may replace it
-    rays, capture = _start(words, a, d_cap)
-    solo = len(words) == 1 and rays.d[0] < d_cap
+    u = _decoupled_states(words, a)
+    spread = u.max(axis=1) - u.min(axis=1)
+    capture = np.minimum(_HOMOG_SPREAD, 0.5 * spread)
+    solo = len(words) == 1 and spread[0] > 0.0 and d_cap > 0.0
     same = solo and key == (words[0], a[0])
     keep = solo and (not same or d_cap > rec_cap)
-    states = [[] for _ in rays]  # round-start states and the end, by field
+    j = 0
     if same:
         attempt = rec.d[:-1] + rec.step[:-1]
         clip = np.minimum(attempt, d_cap) != np.minimum(attempt, rec_cap)
         j = int(np.argmax(clip)) if clip.any() else clip.size
-        states = [list(x[:j]) for x in rec]
         rays = _Branches(*(x[j : j + 1].copy() for x in rec))
+    else:
+        rays = _start(u, a, np.where(spread == 0.0, d_cap, 0.0))
+    trail = list(zip(*(x[:j] for x in (rec if same else rays)))) if keep else None
+    depth = _LADDER if len(words) == 1 else 1
     while True:
         if keep:
-            for h, x in zip(states, rays):
-                h.append(x[0].copy())
+            trail.append([x[0].copy() for x in rays])
         live = np.flatnonzero((rays.d < d_cap) & (rays.step >= _D_STEP_MIN))
         if not live.size:
             break
-        _round(rays, live, a, capture, d_cap)
+        _round(rays, live, a, capture, d_cap, depth, trail)
     if keep:
-        _last_ray = ((words[0], a[0]), d_cap, _Branches(*map(np.array, states)))
+        _last_ray = ((words[0], a[0]), d_cap, _Branches(*map(np.array, zip(*trail))))
     return rays
 
 

@@ -263,6 +263,22 @@ def test_newton_rows_take_exactly_the_iterations_they_take_alone():
             alone, ok = gde._newton_core(*(np.array([x]) for x in row))
             assert ok[0] == converged[k]
             assert alone[0].tobytes() == roots[k].tobytes()
+    # ladder-shaped input, as a lone ray's round passes it: one start state,
+    # a read-only view of it on every row, at d + h, d + h/2 and d + h/4
+    ladders = [(w("0a1"), 0.475, d_k, h) for d_k, h in ((0.0, 1e-3), (0.08, 8e-3), (0.083, 1e-3))]
+    ladders += [(w("0a10011"), 0.37, d_k, 4e-3) for d_k in (0.0, 0.02)]
+    outcomes = set()
+    for word, a_k, d_k, h in ladders:
+        u_k = solve_type(word, Params(a_k, d_k)).u
+        u = np.broadcast_to(u_k, (3, len(u_k)))
+        a, d, capture = np.full(3, a_k), d_k + h * 2.0 ** -np.arange(3), np.full(3, 1e-3)
+        roots, converged = gde._newton_core(u, a, d, capture)
+        outcomes |= set(converged.tolist())
+        for k in range(3):
+            alone, ok = gde._newton_core(u_k[None], a[k : k + 1], d[k : k + 1], capture[k : k + 1])
+            assert ok[0] == converged[k]
+            assert alone[0].tobytes() == roots[k].tobytes()
+    assert outcomes == {False, True}
 
 
 def test_solve_rows_matches_solving_each_row_alone():

@@ -446,6 +446,38 @@ def test_replayed_queries_answer_bitwise_as_fresh_ones():
     assert time.perf_counter() - start < 20.0
 
 
+def test_a_lone_ray_ends_bitwise_where_a_batch_ends_it(monkeypatch):
+    # a lone ray corrects its step and two halvings at once, a batch of two
+    # copies of it takes one attempt per round: every field of their ends
+    # must agree, at caps that end rays at folds or clip their last step,
+    # and the lone ray must record every round a one-attempt march makes
+    gde = regions.gde
+    start = time.perf_counter()
+    rng = random.Random(3202)
+    for text, a in _seeded_patterns(24, seed=32):
+        word = w(text)
+        for d_cap in (regions.DEFAULT_D_CAP, 0.7, rng.uniform(0.002, 0.02)):
+            _forget()
+            alone = gde._march([word], np.array([a]), d_cap)
+            record = gde._last_ray[2]
+            pair = gde._march([word, word], np.array([a, a]), d_cap)
+            for x, y in zip(alone, pair):
+                assert x.tobytes() == y[:1].tobytes() == y[1:].tobytes(), (text, a, d_cap)
+            with monkeypatch.context() as m:
+                m.setattr(gde, "_LADDER", 1)
+                _forget()
+                gde._march([word], np.array([a]), d_cap)
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(record, gde._last_ray[2]))
+        # and the queries replayed from the lone ray's record answer as fresh ones
+        height = float.fromhex(_fresh(_ray, word, a)[0])
+        queries = [(solve_type, word, Params(a, f * height)) for f in (0.25, 0.5, 0.9, 1.0)]
+        queries.append((membership, word, Params(a, 1.01 * height + 1e-6)))
+        replayed = [_answer(*q) for q in queries]
+        assert replayed == [_fresh(*q) for q in queries], (text, a)
+    # 1.9-3.5 s measured on 2 cores
+    assert time.perf_counter() - start < 20.0
+
+
 def test_queries_after_d_max_make_a_handful_of_corrections(monkeypatch):
     corrections = []
     newton = regions.gde._newton_core
@@ -464,12 +496,14 @@ def test_queries_after_d_max_make_a_handful_of_corrections(monkeypatch):
             pass
         return len(corrections)
 
-    # measured: 49-160 corrections for a fresh d_max, one for each solve,
-    # and none for membership or a repeated d_max
+    # measured: 80-289 corrected rows for a fresh d_max (a lone ray stacks
+    # its step and two halvings in one correction), one correction for each
+    # solve, and none for membership or a repeated d_max
     for text, a in _REPLAYED[:5] + _REPLAYED[7:9]:
         word = w(text)
         _forget()
-        assert count(d_max, word, a) >= 40
+        count(d_max, word, a)
+        assert sum(corrections) >= 40
         height, _ = d_max(word, a)
         for f in (0.25, 0.5, 0.9):
             assert count(solve_type, word, Params(a, f * height)) == 1, (text, f)
