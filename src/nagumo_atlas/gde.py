@@ -34,17 +34,15 @@ of them stop by one rule: a ray ends when it reaches its cap or when its
 step falls below _D_STEP_MIN, and the last d it accepted is how far the
 branch reaches. The march moves a stack of branches in lockstep, one row
 per (word, a) ray, through one Newton correction per round, and each ray
-keeps its own step. A lone ray corrects its step and two halvings at once,
-so one correction settles its rounds up to its first accepted attempt.
-The correction iterates on a sites-major (n, B) copy, rays along the
-contiguous axis, and every row still takes exactly the iterations it
-would take alone (batched LAPACK factors each matrix on its own), so a
-ray ends where it would end alone. It checks its rays once, first, and
-measures det J by one slogdet per converged attempt and one at each
-ray's start. A batch of one of the last single ray's (word, a) jumps
-through its recorded rounds to the first one its cap attempts
-differently (_march): a query after d_max corrects little, and answers
-as a fresh march would.
+keeps its own step; a lone ray corrects its step and two halvings at once.
+The correction iterates on a sites-major (n, B) copy, and every row takes
+exactly the iterations it would take alone (batched LAPACK factors each
+matrix on its own), so a ray ends where it would end alone. The march
+checks its rays once, first, and measures det J by one slogdet per
+converged attempt and one at each ray's start. The last single ray keeps
+the state each of its rounds starts from; a batch of one of its (word, a)
+jumps to the first round its cap attempts differently, so a query after
+d_max corrects little, and answers as a fresh march would.
 
 Stability is decided twice at every accepted equilibrium: from the
 letters (a word is stable iff it avoids the middle root a) and from the
@@ -132,12 +130,7 @@ def cubic(s, a: float):
 
 def cubic_deriv(s, a: float):
     """d/ds of cubic(s, a)."""
-    return _cubic_deriv(s, a, 2.0 * (1.0 + a))
-
-
-def _cubic_deriv(s, a, twice_1a):
-    """cubic_deriv(s, a), given 2(1 + a)."""
-    return (-3.0 * s + twice_1a) * s - a
+    return (-3.0 * s + 2.0 * (1.0 + a)) * s - a
 
 
 def _as_state(u) -> np.ndarray:
@@ -172,13 +165,13 @@ def _residuals(u: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _jacobians(u: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """jacobian() of each column of the sites-major (n, B) stack u, as a
     (B, n, n) stack: d times the cycle's adjacency, diagonal f'(u) - 2d."""
-    return _diagonal(d[:, None, None] * _adjacency(len(u)), u, a, 2.0 * (1.0 + a), 2.0 * d)
+    return _diagonal(d[:, None, None] * _adjacency(len(u)), u, a, d)
 
 
-def _diagonal(J: np.ndarray, u: np.ndarray, a, twice_1a, twice_d) -> np.ndarray:
-    """J with each J[k]'s diagonal overwritten by f'(u[:, k]) - 2d[k]."""
+def _diagonal(J: np.ndarray, u: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """J with each J[k]'s diagonal overwritten by f'(u[:, k]) - 2d[k], in place."""
     n = len(u)
-    J.reshape(-1, n * n)[:, :: n + 1] = (_cubic_deriv(u, a, twice_1a) - twice_d).T
+    J.reshape(-1, n * n)[:, :: n + 1] = (cubic_deriv(u, a) - 2.0 * d).T
     return J
 
 
@@ -239,7 +232,7 @@ def _newton_core(
     """
     roots, converged = np.empty_like(u), np.zeros(len(u), bool)
     u = start = np.ascontiguousarray(u.T)
-    J, twice_1a, twice_d = d[:, None, None] * _adjacency(len(u)), 2.0 * (1.0 + a), 2.0 * d
+    J = d[:, None, None] * _adjacency(len(u))
     rows, stop = np.arange(len(roots)), np.zeros(len(roots), bool)
     for it in range(_MAX_NEWTON_ITERS + 1):
         r = _residuals(u, a, d)
@@ -254,11 +247,11 @@ def _newton_core(
                 break
             keep = np.flatnonzero(~out)
             u, start, r = (x.take(keep, axis=1) for x in (u, start, r))
-            J, a, d, twice_1a, twice_d, capture, rows, norm = (
-                x.take(keep, axis=0) for x in (J, a, d, twice_1a, twice_d, capture, rows, norm)
+            J, a, d, capture, rows, norm = (
+                x.take(keep, axis=0) for x in (J, a, d, capture, rows, norm)
             )
         last = norm
-        du, singular = _solve_rows(_diagonal(J, u, a, twice_1a, twice_d), -r.T)
+        du, singular = _solve_rows(_diagonal(J, u, a, d), -r.T)
         u = u + du.T
         stop = singular | (np.abs(u - start).max(axis=0) > _MAX_CORRECTOR_JUMP)
         stop |= u.max(axis=0) - u.min(axis=0) < capture
@@ -317,21 +310,20 @@ def _start(u: np.ndarray, a: np.ndarray, d: np.ndarray) -> _Branches:
 
 
 def _round(
-    rays: _Branches, live: np.ndarray, a: np.ndarray, capture: np.ndarray, d_cap: float,
-    depth: int, trail: list | None,
+    rays: _Branches, live: np.ndarray, a: np.ndarray, capture: np.ndarray, d_cap: float
 ) -> None:
-    """Attempt a step on each live ray, in place, with its next depth - 1
-    halvings not below _D_STEP_MIN (_LADDER for a lone ray, 1 for a batch).
+    """Attempt a step on each live ray, in place; a lone ray also attempts
+    its next _LADDER - 1 halvings not below _D_STEP_MIN, in the same stack.
 
     An attempt is rejected where _newton_core stops its row or det J is
     exactly singular there (one slogdet over the converged rows). A ray takes
-    its first accepted attempt, and each before it is a rejected round, whose
-    start a lone ray's trail gets. A rejected step halves; _REGROW_AFTER
-    accepted ones in a row double it, never beyond _D_STEP_INIT. Outcomes
-    depend only on the ray's state and attempt, so every depth marches alike
-    and _march may jump over recorded rounds.
+    its first accepted attempt, and each before it counts as a rejected
+    round. A rejected step halves; _REGROW_AFTER accepted ones in a row
+    double it, never beyond _D_STEP_INIT. Outcomes depend only on the ray's
+    state and attempt, so a lone ray ends where one attempt per round ends
+    it, and _march may jump over recorded rounds.
     """
-    steps = rays.step[live][:, None] * 0.5 ** np.arange(depth)
+    steps = rays.step[live][:, None] * 0.5 ** np.arange(_LADDER if len(a) == 1 else 1)
     tries = steps >= _D_STEP_MIN  # a prefix of each ray's attempts, never empty
     m = tries.sum(axis=1)
     ray = np.repeat(live, m)  # the ray of each attempt
@@ -344,9 +336,6 @@ def _round(
     accepted[tries] = sign_new != 0.0
     won = accepted.any(axis=1)
     halvings = np.where(won, accepted.argmax(axis=1), m)
-    for i in range(1, halvings[0] + won[0]) if trail is not None else ():
-        start = rays._replace(step=steps[0, i:], streak=np.zeros(1, int))
-        trail.append([x[0].copy() for x in start])
     rays.step[live] *= 0.5**halvings
     rays.streak[live[halvings > 0]] = 0
     row = (m.cumsum() - m + halvings)[won]
@@ -363,7 +352,7 @@ def _round(
 
 
 # ((word, a), d_cap, record) of the last single-ray march: the record stacks
-# the ray's round-start states and its end. Replaced whole, never mutated
+# the start of each _march round and the end. Replaced whole, never mutated
 _last_ray = (None, 0.0, None)
 
 
@@ -380,11 +369,13 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
     A batch of one is recorded exactly when its ray starts below its cap,
     so a solve at d = 0 or of a constant word leaves the record alone; a
     batch of one of the recorded (word, a) starts from it. A round's outcome
-    depends only on its starting state and its attempt, so a recorded round
-    is reused exactly when both caps clip its attempt alike: the ray jumps
-    to the first round they clip differently (to the end, if none does) and
-    marches on. Every answer is bitwise what a fresh march gives. Another
-    (word, a), or a larger cap, replaces the record.
+    depends only on its starting state and its step h, so a recorded round
+    is reused exactly when both caps clip its attempt d + h alike: the ray
+    jumps to the first round they clip differently (to the end, if none
+    does) and marches on. A lone ray's halvings lie below d + h, so they
+    clip alike wherever d + h does, and the record needs no row for them.
+    Every answer is bitwise what a fresh march gives. Another (word, a), or
+    a larger cap, replaces the record.
     """
     global _last_ray
     bad = ~((0.0 < a) & (a < 1.0))
@@ -411,14 +402,13 @@ def _march(words: list[Word], a: np.ndarray, d_cap: float) -> _Branches:
     else:
         rays = _start(u, a, np.where(spread == 0.0, d_cap, 0.0))
     trail = list(zip(*(x[:j] for x in (rec if same else rays)))) if keep else None
-    depth = _LADDER if len(words) == 1 else 1
     while True:
         if keep:
             trail.append([x[0].copy() for x in rays])
         live = np.flatnonzero((rays.d < d_cap) & (rays.step >= _D_STEP_MIN))
         if not live.size:
             break
-        _round(rays, live, a, capture, d_cap, depth, trail)
+        _round(rays, live, a, capture, d_cap)
     if keep:
         _last_ray = ((words[0], a[0]), d_cap, _Branches(*map(np.array, zip(*trail))))
     return rays
